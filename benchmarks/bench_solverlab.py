@@ -62,9 +62,11 @@ def test_solverlab_benchmark(once, tmp_path):
         print(f"{cls:16s}{row['n']:>9d}{row['wall_s']:>10.3f}")
 
     # The lab's acceptance criterion: the replay reproduces every
-    # captured verdict exactly, and the report attributes all solve
-    # wall to named classes.
+    # captured verdict (and every one-shot query's CDCL effort)
+    # exactly, and the report attributes all solve wall to named
+    # classes.
     assert replay["drift"] == [], replay["drift"]
+    assert replay["effort_drift"] == [], replay["effort_drift"]
     assert replay["queries"] == capture["queries"]
     assert report["attributed_wall_fraction"] == 1.0
     assert capture["queries"] > 0

@@ -573,7 +573,7 @@ def cmd_solverlab_replay(args) -> int:
     if trace_out:
         print(f"trace written to {trace_out} "
               "(load it in https://ui.perfetto.dev)", file=sys.stderr)
-    return 1 if doc["drift"] else 0
+    return 1 if doc["drift"] or doc["effort_drift"] else 0
 
 
 def cmd_solverlab_report(args) -> int:
@@ -887,8 +887,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_solverlab_capture)
 
     c = lab.add_parser("replay", help="re-run every captured query "
-                                      "offline and check verdict "
-                                      "identity (exit 1 on drift)")
+                                      "offline and check verdict and "
+                                      "one-shot effort identity (exit 1 "
+                                      "on drift)")
     c.add_argument("--cache", default=".repro-solverlab", metavar="DIR",
                    help="store holding the captured corpus")
     c.add_argument("--bombs", nargs="*",

@@ -9,7 +9,8 @@ shapes*.  This module turns the SMT flight recorder
   logging on and persist the content-addressed corpus + per-cell
   manifests into the campaign store.
 * :func:`replay_corpus` — re-run every recorded query offline against a
-  fresh (or incremental) solver, assert verdict identity, and report
+  fresh (or incremental) solver, assert verdict identity (and, for
+  one-shot queries replayed fresh, effort identity), and report
   per-class effort deltas.  Replayed queries emit ``solverlab`` obs
   spans, so a replay under ``--trace-out`` renders in Perfetto like any
   other run.
@@ -151,9 +152,13 @@ def _class_bucket(classes: dict, cls: str) -> dict:
     return bucket
 
 
+#: CDCL effort figures a fresh replay of a one-shot query must reproduce.
+_EFFORT_KEYS = ("conflicts", "learnt")
+
+
 def replay_corpus(cache, mode: str = "fresh", bombs=None,
                   tools=None) -> dict:
-    """Re-run a captured corpus offline and check verdict identity.
+    """Re-run a captured corpus offline and check verdict and effort identity.
 
     Each *occurrence* is replayed (so per-class effort totals compare
     like for like with the capture), but record bodies are decoded once
@@ -162,6 +167,13 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
     an :class:`IncrementalSolver` and answers via one assumption query.
     Returns the replay document; ``drift`` is the list of verdict
     mismatches (the acceptance gate: it must be empty).
+
+    ``effort_drift`` lists the occurrences recorded by a one-shot
+    solver whose fresh replay spent different CDCL effort (conflicts or
+    learnt clauses): the search is deterministic, so any difference
+    means the solver changed its search.  It must be empty too.
+    Incremental replay stays verdict-only -- an incremental occurrence's
+    recorded effort depends on the queries issued before it in the cell.
     """
     if mode not in ("fresh", "incremental"):
         raise ValueError(f"replay mode must be fresh|incremental, got {mode!r}")
@@ -171,6 +183,8 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
     verdicts: dict[str, str] = {}
     classes: dict[str, dict] = {}
     drift: list[dict] = []
+    effort_drift: list[dict] = []
+    effort_checked = 0
     queries = 0
     missing = 0
     wall_recorded = wall_replayed = 0.0
@@ -214,6 +228,18 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
                             "replayed": status,
                         })
                         obs.count("smtlog.replay_drift")
+                    if mode == "fresh" and occ.get("solver") == "oneshot":
+                        effort_checked += 1
+                        recorded = {k: occ.get(k, 0) for k in _EFFORT_KEYS}
+                        replayed = {k: stats.get(k, 0) for k in _EFFORT_KEYS}
+                        if recorded != replayed:
+                            effort_drift.append({
+                                "bomb": bomb, "tool": tool, "index": i,
+                                "digest": digest, "pc": occ.get("pc"),
+                                "kind": occ.get("kind"),
+                                "recorded": recorded, "replayed": replayed,
+                            })
+                            obs.count("smtlog.effort_drift")
                     obs.count("smtlog.replayed")
     for bucket in classes.values():
         bucket["wall_recorded_s"] = round(bucket["wall_recorded_s"], 6)
@@ -227,6 +253,8 @@ def replay_corpus(cache, mode: str = "fresh", bombs=None,
         "distinct": len(bodies),
         "missing_records": missing,
         "drift": drift,
+        "effort_checked": effort_checked,
+        "effort_drift": effort_drift,
         "verdicts": verdicts,
         "classes": classes,
         "wall_recorded_s": round(wall_recorded, 6),
@@ -268,6 +296,21 @@ def render_replay(doc: dict) -> str:
         lines.append(f"replay: {len(doc['drift'])} verdict(s) drifted")
     else:
         lines.append("replay: every verdict reproduced exactly (0 drift)")
+    effort_drift = doc["effort_drift"]
+    for d in effort_drift:
+        was, now = d["recorded"], d["replayed"]
+        lines.append(
+            f"EFFORT DRIFT {d['bomb']}/{d['tool']}[{d['index']}] "
+            f"{d['digest'][:12]}: "
+            + ", ".join(f"{k} {was[k]} -> {now[k]}" for k in was))
+    if doc["effort_checked"]:
+        if effort_drift:
+            lines.append(f"effort: {len(effort_drift)} of "
+                         f"{doc['effort_checked']} one-shot replay(s) "
+                         "searched differently")
+        else:
+            lines.append(f"effort: all {doc['effort_checked']} one-shot "
+                         "replay(s) searched identically (0 effort drift)")
     return "\n".join(lines)
 
 

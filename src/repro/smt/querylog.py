@@ -347,6 +347,8 @@ class QueryRecorder:
             "status": status,
             "wall_s": wall_s,
             "conflicts": stats.get("conflicts", 0),
+            "decisions": stats.get("decisions", 0),
+            "propagations": stats.get("propagations", 0),
             "gates": stats.get("gates", 0),
             "learnt": stats.get("learnt", 0),
             "solver": solver,

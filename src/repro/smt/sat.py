@@ -7,6 +7,27 @@ in the paper's tool stacks.
 
 Literal encoding: variable ``v`` (0-based) has positive literal ``2v``
 and negative literal ``2v+1``; ``lit ^ 1`` negates.
+
+Decision order.  The next decision is the unassigned variable of
+highest activity, ties going to the lowest index, always with negative
+polarity.  The order heap is a lazy min-heap of ``(-activity, var)``
+entries kept under one invariant: *every unassigned variable has a heap
+entry at its current activity* (its "live key", ``_heap_key[var]``).
+Bumping an assigned variable only raises its activity; backtracking
+pushes an unwound variable only when its live key is missing or out of
+date; :meth:`_decide` clears a live key when it pops that entry and
+skips every other entry as stale.  Stale entries always carry a lower
+activity than the variable's live one, so they can never jump the
+queue.  When activities overflow 1e100 they are all scaled by 1e-100
+and the heap is rebuilt from the unassigned variables' scaled
+activities, so the order stays true VSIDS order across a rescale.
+
+Assignments are kept per literal: ``lit_values[l]`` is 1 when literal
+``l`` is true, 0 when it is false and ``UNASSIGNED`` (-1) otherwise, so
+a variable's value is ``lit_values[2 * var]`` and the hot loops test a
+literal with one index.  Watch lists and reasons hold the clause lists
+themselves.  :meth:`_propagate` and :meth:`_analyze` work on local
+bindings with enqueueing and bumping inlined.
 """
 
 from __future__ import annotations
@@ -16,6 +37,10 @@ import heapq
 from ..errors import SolverError
 
 UNASSIGNED = -1
+
+#: ``_heap_key`` value of a variable with no live heap entry (real keys
+#: are ``-activity <= 0``).
+_NO_KEY = 1.0
 
 
 def _luby(x: int) -> int:
@@ -37,10 +62,11 @@ class SatSolver:
     def __init__(self, max_conflicts: int = 200_000, max_clauses: int = 2_000_000):
         self.num_vars = 0
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = []  # lit -> clause indices
-        self.values: list[int] = []         # var -> 0/1/UNASSIGNED
+        self.watches: list[list[list[int]]] = []  # lit -> watching clauses
+        self.lit_values: list[int] = []     # lit -> 1/0/UNASSIGNED
         self.levels: list[int] = []
-        self.reasons: list[int] = []        # var -> clause idx or -1
+        #: var -> clause that implied it (read only while assigned).
+        self.reasons: list[list[int] | None] = []
         self.activity: list[float] = []
         self.trail: list[int] = []          # assigned literals in order
         self.trail_lim: list[int] = []
@@ -55,22 +81,30 @@ class SatSolver:
         self.conflicts = 0
         self.restarts = 0
         self.learnt = 0
-        #: Lazy max-heap of (-activity, var); stale entries are skipped
-        #: at pop time (standard VSIDS order-heap trick).
+        #: Trail literals whose watches were visited by unit propagation.
+        self.propagations = 0
+        #: Lazy min-heap of (-activity, var); see the module docstring
+        #: for the live-key invariant.
         self._order: list[tuple[float, int]] = []
+        self._heap_key: list[float] = []    # var -> live key or _NO_KEY
+        #: Conflict analysis scratch marks, all zero between conflicts.
+        self._seen = bytearray()
 
     # -- construction -----------------------------------------------------
 
     def new_var(self) -> int:
         var = self.num_vars
         self.num_vars += 1
-        self.values.append(UNASSIGNED)
+        self.lit_values.append(UNASSIGNED)
+        self.lit_values.append(UNASSIGNED)
         self.levels.append(0)
-        self.reasons.append(-1)
+        self.reasons.append(None)
         self.activity.append(0.0)
         self.watches.append([])
         self.watches.append([])
         heapq.heappush(self._order, (0.0, var))
+        self._heap_key.append(0.0)
+        self._seen.append(0)
         return var
 
     def add_clause(self, lits: list[int]) -> None:
@@ -93,155 +127,196 @@ class SatSolver:
             self._ok = False
             return
         if len(out) == 1:
-            if not self._enqueue(out[0], -1):
+            if not self._enqueue(out[0], None):
                 self._ok = False
             return
-        idx = len(self.clauses)
         self.clauses.append(out)
-        self.watches[out[0]].append(idx)
-        self.watches[out[1]].append(idx)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
 
     # -- assignment ---------------------------------------------------------
 
-    def _lit_value(self, lit: int) -> int:
-        value = self.values[lit >> 1]
-        if value == UNASSIGNED:
-            return UNASSIGNED
-        return value ^ (lit & 1)
-
-    def _enqueue(self, lit: int, reason: int) -> bool:
-        var = lit >> 1
-        desired = (lit & 1) ^ 1
-        value = self.values[var]
+    def _enqueue(self, lit: int, reason: list[int] | None) -> bool:
+        lit_values = self.lit_values
+        value = lit_values[lit]
         if value != UNASSIGNED:
-            return value == desired
-        self.values[var] = desired
+            return value == 1
+        lit_values[lit] = 1
+        lit_values[lit ^ 1] = 0
+        var = lit >> 1
         self.levels[var] = len(self.trail_lim)
         self.reasons[var] = reason
         self.trail.append(lit)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self.trail_lim)
-
     # -- propagation ----------------------------------------------------------
 
-    def _propagate(self) -> int:
-        """Unit propagation; returns conflicting clause index or -1."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            false_lit = lit ^ 1
-            watch_list = self.watches[false_lit]
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation; returns the conflicting clause or None."""
+        trail = self.trail
+        qhead = start = self.qhead
+        lit_values = self.lit_values
+        watches = self.watches
+        levels = self.levels
+        reasons = self.reasons
+        level = len(self.trail_lim)
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watch_list = watches[false_lit]
+            # The list only shrinks while it is visited (a new watch is
+            # never false_lit, which is false), so its length is tracked
+            # in n and watch_list[n] below is its last entry.
             i = 0
-            while i < len(watch_list):
-                ci = watch_list[i]
-                clause = self.clauses[ci]
+            n = len(watch_list)
+            while i < n:
+                clause = watch_list[i]
                 # Ensure false_lit is at position 1.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._lit_value(first) == 1:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                if lit_values[first] == 1:
                     i += 1
                     continue
                 # Find a new literal to watch.
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches[clause[1]].append(ci)
-                        watch_list[i] = watch_list[-1]
+                    lit = clause[k]
+                    if lit_values[lit]:  # true or unassigned
+                        clause[k] = clause[1]
+                        clause[1] = lit
+                        watches[lit].append(clause)
+                        n -= 1
+                        watch_list[i] = watch_list[n]
                         watch_list.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                if self._lit_value(first) == 0:
-                    self.qhead = len(self.trail)
-                    return ci
-                self._enqueue(first, ci)
-                i += 1
-        return -1
+                else:
+                    # Clause is unit or conflicting.
+                    if not lit_values[first]:
+                        self.propagations += qhead - start
+                        self.qhead = len(trail)
+                        return clause
+                    lit_values[first] = 1
+                    lit_values[first ^ 1] = 0
+                    var = first >> 1
+                    levels[var] = level
+                    reasons[var] = clause
+                    trail.append(first)
+                    i += 1
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return None
 
     # -- conflict analysis --------------------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self._var_inc
-        if self.activity[var] > 1e100:
-            for v in range(self.num_vars):
-                self.activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._order, (-self.activity[var], var))
+    def _rescale(self) -> None:
+        """Scale every activity by 1e-100 and rebuild the order heap
+        from the unassigned variables' scaled activities."""
+        activity = self.activity
+        lit_values = self.lit_values
+        heap_key = self._heap_key
+        order = self._order
+        order.clear()
+        for v in range(self.num_vars):
+            activity[v] *= 1e-100
+            if lit_values[2 * v] == UNASSIGNED:
+                heap_key[v] = -activity[v]
+                order.append((heap_key[v], v))
+            else:
+                heap_key[v] = _NO_KEY
+        heapq.heapify(order)
+        self._var_inc *= 1e-100
 
-    def _analyze(self, conflict: int) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         """First-UIP learning; returns (learnt clause, backtrack level)."""
+        seen = self._seen
+        levels = self.levels
+        activity = self.activity
+        trail = self.trail
+        reasons = self.reasons
+        var_inc = self._var_inc
+        level = len(self.trail_lim)
         learnt = [0]  # placeholder for the asserting literal
-        seen = [False] * self.num_vars
         counter = 0
         lit = -1
-        index = len(self.trail) - 1
-        clause_idx = conflict
+        index = len(trail) - 1
+        clause = conflict
         while True:
-            clause = self.clauses[clause_idx]
-            start = 1 if lit != -1 else 0
-            for q in clause[start:]:
+            for q in (clause[1:] if lit != -1 else clause):
                 var = q >> 1
-                if not seen[var] and self.levels[var] > 0:
-                    seen[var] = True
-                    self._bump(var)
-                    if self.levels[var] == self._decision_level():
+                if not seen[var] and levels[var] > 0:
+                    seen[var] = 1
+                    # VSIDS bump; the heap entry is refreshed lazily
+                    # when the (assigned) variable is unwound.
+                    activity[var] += var_inc
+                    if activity[var] > 1e100:
+                        self._rescale()
+                        var_inc = self._var_inc
+                    if levels[var] == level:
                         counter += 1
                     else:
                         learnt.append(q)
             # Find the next literal to resolve on.
             while True:
-                lit = self.trail[index]
+                lit = trail[index]
                 index -= 1
                 if seen[lit >> 1]:
                     break
             counter -= 1
-            seen[lit >> 1] = False
+            seen[lit >> 1] = 0
             if counter == 0:
                 break
-            clause_idx = self.reasons[lit >> 1]
+            clause = reasons[lit >> 1]
         learnt[0] = lit ^ 1
+        for q in learnt:
+            seen[q >> 1] = 0
         if len(learnt) == 1:
             return learnt, 0
         # Backtrack to the second-highest level in the clause.
         max_i = 1
         for i in range(2, len(learnt)):
-            if self.levels[learnt[i] >> 1] > self.levels[learnt[max_i] >> 1]:
+            if levels[learnt[i] >> 1] > levels[learnt[max_i] >> 1]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self.levels[learnt[1] >> 1]
+        return learnt, levels[learnt[1] >> 1]
 
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self.trail_lim[level]
-        for lit in reversed(self.trail[limit:]):
+        trail = self.trail
+        limit = trail_lim[level]
+        lit_values = self.lit_values
+        activity = self.activity
+        heap_key = self._heap_key
+        order = self._order
+        for lit in trail[limit:]:
+            lit_values[lit] = UNASSIGNED
+            lit_values[lit ^ 1] = UNASSIGNED
             var = lit >> 1
-            self.values[var] = UNASSIGNED
-            self.reasons[var] = -1
-            heapq.heappush(self._order, (-self.activity[var], var))
-        del self.trail[limit:]
-        del self.trail_lim[level:]
-        self.qhead = len(self.trail)
+            key = -activity[var]
+            if heap_key[var] != key:
+                heap_key[var] = key
+                heapq.heappush(order, (key, var))
+        del trail[limit:]
+        del trail_lim[level:]
+        self.qhead = len(trail)
 
     # -- decisions --------------------------------------------------------------
 
     def _decide(self) -> int:
         order = self._order
+        heap_key = self._heap_key
+        lit_values = self.lit_values
         while order:
-            _, var = heapq.heappop(order)
-            if self.values[var] == UNASSIGNED:
-                return var * 2 + 1  # default polarity: false
-        # Heap exhausted by staleness: fall back to a scan once.
-        for var in range(self.num_vars):
-            if self.values[var] == UNASSIGNED:
-                heapq.heappush(order, (-self.activity[var], var))
-                return var * 2 + 1
+            key, var = heapq.heappop(order)
+            if heap_key[var] == key:
+                heap_key[var] = _NO_KEY
+                if lit_values[2 * var] == UNASSIGNED:
+                    return var * 2 + 1  # default polarity: false
+        # No live entry left: by the heap invariant every variable is
+        # assigned.
         return -1
 
     # -- main loop ------------------------------------------------------------------
@@ -270,15 +345,18 @@ class SatSolver:
         self.qhead = 0  # re-propagate the root trail over any new clauses
         if not self._ok:
             return None
+        trail = self.trail
+        trail_lim = self.trail_lim
+        lit_values = self.lit_values
         conflicts = 0
         restart_i = 1
         restart_budget = 100 * _luby(restart_i)
         since_restart = 0
-        if self._propagate() != -1:
+        if self._propagate() is not None:
             return None
         while True:
             conflict = self._propagate()
-            if conflict != -1:
+            if conflict is not None:
                 conflicts += 1
                 self.conflicts += 1
                 since_restart += 1
@@ -286,7 +364,7 @@ class SatSolver:
                     raise SolverError(
                         f"conflict budget exceeded ({self.max_conflicts})"
                     )
-                if self._decision_level() == 0:
+                if not trail_lim:
                     return None
                 learnt, back_level = self._analyze(conflict)
                 self.learnt += 1
@@ -294,16 +372,15 @@ class SatSolver:
                 # decision loop re-installs the missing assumptions.
                 self._backtrack(back_level)
                 if len(learnt) == 1:
-                    if not self._enqueue(learnt[0], -1):
+                    if not self._enqueue(learnt[0], None):
                         return None
                 else:
-                    idx = len(self.clauses)
-                    if idx >= self.max_clauses:
+                    if len(self.clauses) >= self.max_clauses:
                         raise SolverError("clause budget exceeded")
                     self.clauses.append(learnt)
-                    self.watches[learnt[0]].append(idx)
-                    self.watches[learnt[1]].append(idx)
-                    self._enqueue(learnt[0], idx)
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self._var_inc *= 1.05
                 continue
             if since_restart >= restart_budget:
@@ -313,25 +390,25 @@ class SatSolver:
                 self.restarts += 1
                 self._backtrack(0)
                 continue
-            if self._decision_level() < len(assumptions):
-                lit = assumptions[self._decision_level()]
-                value = self._lit_value(lit)
+            if len(trail_lim) < len(assumptions):
+                lit = assumptions[len(trail_lim)]
+                value = lit_values[lit]
                 if value == 0:
                     # Assumption contradicts the current (learnt) state:
                     # UNSAT under these assumptions only.
                     self._backtrack(0)
                     return None
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 if value == UNASSIGNED:
-                    self._enqueue(lit, -1)
+                    self._enqueue(lit, None)
                 # Already-true assumptions still get a (dummy) level so
                 # that level index == assumption index stays invariant.
                 continue
             lit = self._decide()
             if lit == -1:
-                model = [1 if v == 1 else 0 for v in self.values]
+                model = [1 if v == 1 else 0 for v in lit_values[::2]]
                 self._backtrack(0)
                 return model
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, -1)
+            trail_lim.append(len(trail))
+            self._enqueue(lit, None)

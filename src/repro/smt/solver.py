@@ -225,13 +225,10 @@ class IncrementalSolver:
         #: divisor, depth): re-raised verbatim on every later query,
         #: matching the one-shot solver re-hitting it per query.
         self._encode_error: str | None = None
-        # Stat snapshots so the observability counters report per-query
-        # deltas even though the underlying instance accumulates.
-        self._last_conflicts = 0
-        self._last_decisions = 0
-        self._last_restarts = 0
-        self._last_gates = 0
-        self._last_learnt = 0
+        # Counter snapshot so the observability counters report
+        # per-query deltas even though the underlying instance
+        # accumulates (advanced by :func:`report_sat_stats`).
+        self._sat_seen: dict[str, int] = {}
         self._last_query_stats: dict[str, int] = {}
 
     # -- prefix ------------------------------------------------------------
@@ -347,7 +344,8 @@ class IncrementalSolver:
                 # its negation and are now satisfied).
                 sat.add_clause([activation ^ 1])
         finally:
-            self._last_query_stats = self._report_stats()
+            self._last_query_stats = report_sat_stats(
+                sat, blaster, since=self._sat_seen)
         if model is None:
             return CheckResult("unsat")
         return CheckResult("sat", blaster.extract_model(model))
@@ -375,61 +373,42 @@ class IncrementalSolver:
             self._encoded += 1
         return self._sat, self._blaster
 
-    def _report_stats(self) -> dict[str, int]:
-        sat, blaster = self._sat, self._blaster
-        stats = {
-            "conflicts": sat.conflicts - self._last_conflicts,
-            "decisions": sat.decisions - self._last_decisions,
-            "restarts": sat.restarts - self._last_restarts,
-            "gates": blaster.gates - self._last_gates,
-            "learnt": sat.learnt - self._last_learnt,
-        }
-        self._last_conflicts = sat.conflicts
-        self._last_decisions = sat.decisions
-        self._last_restarts = sat.restarts
-        self._last_gates = blaster.gates
-        self._last_learnt = sat.learnt
-        rec = obs.active()
-        if rec is None:
-            return stats
-        rec.count("smt.conflicts", stats["conflicts"])
-        rec.count("smt.decisions", stats["decisions"])
-        rec.count("smt.restarts", stats["restarts"])
-        rec.count("smt.learnt", stats["learnt"])
-        rec.observe("smt.clauses", len(sat.clauses))
-        rec.count("smt.gates", stats["gates"])
-        rec.observe("smt.gates_per_query", stats["gates"])
-        return stats
+
+#: Lifetime :class:`SatSolver` counters flushed as ``smt.<name>``.
+_SAT_COUNTERS = ("conflicts", "decisions", "propagations", "restarts",
+                "learnt")
 
 
-def report_sat_stats(sat: SatSolver,
-                     blaster: BitBlaster | None = None) -> dict[str, int]:
-    """Flush one SAT instance's search statistics to the recorder.
+def report_sat_stats(sat: SatSolver, blaster: BitBlaster | None = None,
+                     since: dict[str, int] | None = None) -> dict[str, int]:
+    """Flush one query's SAT search statistics to the recorder.
 
-    Called after every query from :meth:`Solver.check` and from engines
-    that drive a :class:`SatSolver` directly (model enumeration); the
-    counters accumulate across queries, so ``smt.conflicts`` is the
-    total CDCL conflict work of a whole run.  Returns the stats so the
+    Called after every query by :meth:`Solver.check`,
+    :meth:`IncrementalSolver.check` and engines that drive a
+    :class:`SatSolver` directly (model enumeration); the counters
+    accumulate across queries, so ``smt.conflicts`` is the total CDCL
+    conflict work of a whole run.  A :class:`SatSolver`'s counters are
+    lifetime totals: for an instance that serves several queries pass
+    the same *since* dict every time (empty at first) -- it holds the
+    counters as of the previous report and is advanced to now, so only
+    this query's work is flushed.  Returns the per-query stats so the
     caller can attach them to per-query telemetry.
     """
-    stats = {
-        "conflicts": sat.conflicts,
-        "decisions": sat.decisions,
-        "restarts": sat.restarts,
-        "learnt": sat.learnt,
-        "gates": blaster.gates if blaster is not None else 0,
-    }
+    now = {key: getattr(sat, key) for key in _SAT_COUNTERS}
+    now["gates"] = blaster.gates if blaster is not None else 0
+    stats = now
+    if since is not None:
+        stats = {key: value - since.get(key, 0) for key, value in now.items()}
+        since.update(now)
     rec = obs.active()
     if rec is None:
         return stats
-    rec.count("smt.conflicts", sat.conflicts)
-    rec.count("smt.decisions", sat.decisions)
-    rec.count("smt.restarts", sat.restarts)
-    rec.count("smt.learnt", sat.learnt)
+    for key in _SAT_COUNTERS:
+        rec.count(f"smt.{key}", stats[key])
     rec.observe("smt.clauses", len(sat.clauses))
     if blaster is not None:
-        rec.count("smt.gates", blaster.gates)
-        rec.observe("smt.gates_per_query", blaster.gates)
+        rec.count("smt.gates", stats["gates"])
+        rec.observe("smt.gates_per_query", stats["gates"])
     return stats
 
 

@@ -40,7 +40,7 @@ from ..smt import (
     mk_const,
     mk_ite,
 )
-from ..smt.solver import CheckResult
+from ..smt.solver import CheckResult, report_sat_stats
 from .state import SymState
 
 MASK64 = (1 << 64) - 1
@@ -270,8 +270,9 @@ class PathSolver:
         self._enum_sat: SatSolver | None = None
         self._enum_blaster: BitBlaster | None = None
         self._enum_asserted: list[Expr] = []
-        self._last_stats = dict.fromkeys(
-            ("conflicts", "decisions", "restarts", "learnt", "gates"), 0)
+        #: The instance's counters as of its last report (see
+        #: :func:`repro.smt.solver.report_sat_stats`).
+        self._enum_seen: dict[str, int] = {}
 
     def _vars_of(self, expr: Expr) -> frozenset:
         key = id(expr)
@@ -344,31 +345,13 @@ class PathSolver:
             self._enum_sat = sat
             self._enum_blaster = BitBlaster(sat)
             self._enum_asserted = asserted = []
-            self._last_stats = dict.fromkeys(self._last_stats, 0)
+            self._enum_seen = {}
             obs.count("cache.enum_rebuilds")
         blaster = self._enum_blaster
         for c in constraints[len(asserted):]:
             blaster.assert_true(c)
             asserted.append(c)
         return sat, blaster
-
-    def _report_stats(self) -> None:
-        """Delta version of :func:`repro.smt.solver.report_sat_stats`:
-        the shared instance's lifetime counters only flush what this
-        query added."""
-        sat, blaster = self._enum_sat, self._enum_blaster
-        now = {"conflicts": sat.conflicts, "decisions": sat.decisions,
-               "restarts": sat.restarts, "learnt": sat.learnt,
-               "gates": blaster.gates}
-        last, self._last_stats = self._last_stats, now
-        rec = obs.active()
-        if rec is None:
-            return
-        for key in ("conflicts", "decisions", "restarts", "learnt"):
-            rec.count(f"smt.{key}", now[key] - last[key])
-        rec.observe("smt.clauses", len(sat.clauses))
-        rec.count("smt.gates", now["gates"] - last["gates"])
-        rec.observe("smt.gates_per_query", now["gates"] - last["gates"])
 
     def enumerate_values(self, constraints: list[Expr], addr: Expr,
                          limit: int, model: dict | None = None) -> list[int] | None:
@@ -425,7 +408,7 @@ class PathSolver:
         finally:
             if query_act is not None:
                 sat.add_clause([query_act ^ 1])
-            self._report_stats()
+            report_sat_stats(sat, blaster, since=self._enum_seen)
         self._enum_memo[key] = values
         self._enum_refs.append((tuple(sliced), addr))
         return None if values is None else list(values)

@@ -256,3 +256,38 @@ class TestObsCounters:
         assert counters["smt.prefix_reuse"] == 1
         assert counters["smt.queries"] == 3
         assert counters["smt.gates"] > 0
+
+    def test_sat_counters_are_per_query_deltas(self):
+        """Every solver front-end flushes its SAT work through one
+        delta-based reporter: the counters sum the per-query stats and
+        the persistent instance's lifetime totals."""
+        v = mk_var("sc_v", 8)
+        w = mk_var("sc_w", 8)
+        constraints = [
+            mk_cmp("ult", mk_binop("add", v, w), mk_const(100, 8)),
+            mk_eq(mk_binop("xor", v, w), mk_const(0x5a, 8)),
+            mk_cmp("ule", mk_const(7, 8), w),
+        ]
+        keys = ("conflicts", "decisions", "propagations", "restarts",
+                "learnt", "gates")
+        rec = obs.Recorder()
+        per_query = []
+        with obs.recording(rec, close=False):
+            inc = IncrementalSolver()
+            for target in constraints:
+                inc.check(mk_bool_not(target))
+                per_query.append(inc._last_query_stats)
+                inc.assert_expr(target)
+            one = Solver()
+            one.extend(constraints)
+            assert one.check().sat
+            per_query.append(one._last_query_stats)
+        counters = rec.snapshot()["counters"]
+        for key in keys:
+            total = sum(stats[key] for stats in per_query)
+            assert counters.get(f"smt.{key}", 0) == total, key
+        lifetime = inc._sat
+        for key in keys[:-1]:
+            assert sum(s[key] for s in per_query[:-1]) == \
+                getattr(lifetime, key), key
+        assert counters["smt.propagations"] > 0

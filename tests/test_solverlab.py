@@ -7,6 +7,7 @@ properties of one corpus.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -78,6 +79,7 @@ class TestReplay:
         root, cap = corpus
         doc = solverlab.replay_corpus(root, mode="fresh")
         assert doc["drift"] == []
+        assert doc["effort_drift"] == []
         assert doc["queries"] == cap["queries"]
         assert doc["distinct"] == cap["distinct"]
         assert doc["missing_records"] == 0
@@ -86,6 +88,8 @@ class TestReplay:
         root, _ = corpus
         doc = solverlab.replay_corpus(root, mode="incremental")
         assert doc["drift"] == []
+        # Incremental replay is verdict-only.
+        assert doc["effort_checked"] == 0 and doc["effort_drift"] == []
 
     def test_class_totals_cover_every_query(self, corpus):
         root, _ = corpus
@@ -112,6 +116,60 @@ class TestReplay:
     def test_bad_mode_rejected(self, corpus):
         with pytest.raises(ValueError, match="fresh|incremental"):
             solverlab.replay_corpus(corpus[0], mode="warp")
+
+
+@pytest.fixture(scope="module")
+def oneshot_corpus(tmp_path_factory):
+    """A slice whose queries all come from the one-shot solver (the
+    symbolic-execution columns), so fresh replay checks their effort."""
+    root = tmp_path_factory.mktemp("solverlab-oneshot") / "store"
+    solverlab.capture_matrix(bombs=("cp_stack",), tools=("angrx_nolib",),
+                             cache=str(root), verbose=False)
+    return str(root)
+
+
+class TestEffortIdentity:
+    def test_fresh_replay_reproduces_oneshot_effort(self, oneshot_corpus,
+                                                    capsys):
+        doc = solverlab.replay_corpus(oneshot_corpus, mode="fresh")
+        assert doc["drift"] == [] and doc["effort_drift"] == []
+        assert doc["effort_checked"] == doc["queries"] > 0
+        assert doc["conflicts_replayed"] == doc["conflicts_recorded"] > 0
+        assert cli_main(["solverlab", "replay", "--cache",
+                         oneshot_corpus]) == 0
+        assert "0 effort drift" in capsys.readouterr().out
+
+    def test_tampered_effort_is_reported_as_effort_drift(
+            self, oneshot_corpus, tmp_path, capsys):
+        root = oneshot_corpus
+        copy = tmp_path / "store"
+        shutil.copytree(root, copy)
+        store = ResultStore(copy)
+        manifest = next(m for m in store.query_manifests()
+                        if any(o["conflicts"] for o in m["queries"]))
+        index = next(i for i, o in enumerate(manifest["queries"])
+                     if o["conflicts"])
+        occ = manifest["queries"][index]
+        recorded = occ["conflicts"]
+        occ["conflicts"] += 1
+        store.put_query_manifest(
+            manifest["bomb"], manifest["tool"],
+            {k: v for k, v in manifest.items()
+             if k not in ("schema", "bomb", "tool")})
+        doc = solverlab.replay_corpus(str(copy), mode="fresh")
+        assert doc["drift"] == []
+        [d] = doc["effort_drift"]
+        assert (d["bomb"], d["tool"], d["index"]) == (
+            manifest["bomb"], manifest["tool"], index)
+        assert d["recorded"]["conflicts"] == recorded + 1
+        assert d["replayed"]["conflicts"] == recorded
+        assert d["recorded"]["learnt"] == d["replayed"]["learnt"]
+        assert "EFFORT DRIFT" in solverlab.render_replay(doc)
+        assert cli_main(["solverlab", "replay", "--cache", str(copy)]) == 1
+        assert "EFFORT DRIFT" in capsys.readouterr().out
+        # Incremental replay does not compare effort.
+        assert cli_main(["solverlab", "replay", "--cache", str(copy),
+                         "--incremental"]) == 0
 
 
 class TestReport:
