@@ -72,6 +72,6 @@ def test_bench_explore_cold_then_warm(once):
     bench = once.benchmark
     bench.extra_info["cold_wall_s"] = round(cold_s, 3)
     bench.extra_info["warm_wall_s"] = round(warm_s, 3)
-    for key in ("cache.superblock_hits", "cache.enum_hits", "symex.merges"):
+    for key in ("cache.superblock_hits", "cache.enum_hits"):
         if key in warm_counters:
             bench.extra_info[key] = warm_counters[key]

@@ -50,7 +50,7 @@ def _write_bench_json(result, snap, wall_s) -> None:
         "cache": {
             key.split(".", 1)[1]: counters[key]
             for key in ("cache.superblock_hits", "cache.superblock_misses",
-                        "cache.lift_store_hits", "symex.merges")
+                        "cache.lift_store_hits")
             if key in counters
         },
         "cells": [

@@ -536,12 +536,10 @@ def cmd_worker(args) -> int:
 def cmd_solverlab_capture(args) -> int:
     from .eval import solverlab
 
-    if args.timeout is not None and args.timeout <= 0:
-        raise SystemExit("solverlab capture: --timeout must be > 0 seconds")
     with _metrics(args):
         doc = solverlab.capture_matrix(
             bombs=args.bombs, tools=args.tools, cache=args.cache,
-            timeout=args.timeout, verbose=not args.json)
+            verbose=not args.json)
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -878,8 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result store receiving the query corpus "
                         "(default ./.repro-solverlab; doubles as the "
                         "cell result cache)")
-    c.add_argument("--timeout", type=float, metavar="SECONDS",
-                   help="per-cell wall-clock budget")
     c.add_argument("--json", action="store_true",
                    help="emit the capture summary as JSON")
     c.add_argument("--metrics-out", metavar="FILE.jsonl",

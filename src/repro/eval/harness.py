@@ -6,19 +6,23 @@ evaluates a single (bomb, tool) pair.  Results carry both the observed
 outcome and the agreement with the paper, so EXPERIMENTS.md and the
 benchmark suite can report paper-vs-measured per cell.
 
-Cell execution can delegate to the campaign service
-(:mod:`repro.service`): ``run_cell(..., timeout=)`` runs the cell in a
-killable worker process so a stuck tool maps to ``E`` instead of
-hanging the harness, and ``run_table2(..., cache=, timeout=)`` routes
-cells through the content-addressed result store and the fault-tolerant
-executor.
+A cell runs one of two ways.  In-process (``run_cell`` without a
+timeout; ``run_table2`` with ``jobs`` <= 1 and no timeout), or out of
+process through the campaign service's executor
+(:func:`repro.service.executor.execute_matrix`): one forked worker per
+cell attempt, so a ``--jobs N`` run fans out and a stuck tool under a
+timeout maps to ``E`` instead of hanging the harness.  A ``cache`` (a
+content-addressed :class:`~repro.service.store.ResultStore`) serves
+unchanged cells on both routes and is attached for the run's duration
+(:mod:`repro.store_slot`), so lift caches, fuzz corpora and query
+captures persist into it the same way on both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import obs
+from .. import obs, store_slot
 from ..obs import profile, provenance
 from ..bombs import TABLE2_BOMB_IDS, TOOL_COLUMNS, all_bombs, get_bomb
 from ..bombs.suite import Bomb
@@ -147,15 +151,17 @@ def run_cell(bomb: Bomb, tool_name: str,
              timeout: float | None = None) -> CellResult:
     """Evaluate one (bomb, tool) pair.
 
-    With *timeout* (wall-clock seconds) the cell runs in a killable
-    worker process via the campaign service: an overrun is classified
-    ``E`` with a ``resource-exhausted`` diagnostic instead of hanging
-    the caller.
+    With *timeout* (wall-clock seconds) the cell is a one-cell
+    :func:`~repro.service.executor.execute_matrix` with a single
+    attempt: an overrun or a worker death is classified ``E`` with a
+    ``resource-exhausted`` diagnostic instead of hanging the caller.
     """
     if timeout is not None:
-        from ..service.executor import run_cell_isolated
+        from ..service.executor import execute_matrix
 
-        return run_cell_isolated(bomb, tool_name, timeout)
+        result = execute_matrix((bomb.bomb_id,), (tool_name,), jobs=1,
+                                timeout=timeout, store=None, retries=0)
+        return result.cells[(bomb.bomb_id, tool_name)]
     tool = get_tool(tool_name)
     with obs.span("cell", bomb=bomb.bomb_id, tool=tool_name) as sp, \
             profile.cell(bomb.bomb_id, tool_name):
@@ -197,91 +203,6 @@ def _print_cell(cell: CellResult) -> None:
     )
 
 
-def _cell_worker(bomb_id: str, tool_name: str,
-                 metrics_path: str | None,
-                 trace_ctx: tuple | None = None) -> CellResult:
-    """Evaluate one cell in a worker process.
-
-    Any recorder inherited across ``fork`` is dropped first — its sinks
-    write to the parent's file descriptors.  When the parent session has
-    a recorder, the worker records to its own JSONL stream (with raw
-    histogram values) at *metrics_path*; the parent absorbs it after the
-    cell completes, so merged stage timings stay exact.
-
-    *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
-    parent: the worker recorder joins the parent's trace (its top span
-    parented under the harness span) and mirrors the parent's
-    attribution-profiler state.
-    """
-    obs.uninstall()
-    profile.uninstall()
-    from ..smt import querylog
-    querylog.uninstall()
-    bomb = get_bomb(bomb_id)
-    if metrics_path is None:
-        return run_cell(bomb, tool_name)
-    trace_id, parent_span_id, profiling = trace_ctx or (None, None, False)
-    recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
-                            hist_values=True, trace_id=trace_id,
-                            parent_span_id=parent_span_id)
-    with obs.recording(recorder):
-        with profile.profiling(profile.Profiler() if profiling else None):
-            return run_cell(bomb, tool_name)
-
-
-def _run_table2_parallel(bomb_ids: tuple[str, ...], tools: tuple[str, ...],
-                         verbose: bool, jobs: int) -> Table2Result:
-    """Fan the (bomb, tool) cell matrix out over worker processes.
-
-    Cells are independent, so only the fan-out/merge order matters for
-    reproducibility: results are collected and reported in submission
-    order, which makes the outcome matrix (and the rendered/JSON output)
-    byte-identical to a serial run.
-    """
-    import shutil
-    import tempfile
-    from concurrent.futures import ProcessPoolExecutor
-    from pathlib import Path
-
-    from ..obs import read_events
-
-    recorder = obs.active()
-    pairs = [(b, t) for b in bomb_ids for t in tools]
-    tmpdir = tempfile.mkdtemp(prefix="repro-table2-") if recorder else None
-    result = Table2Result()
-    try:
-        with obs.span("table2", jobs=jobs, cells=len(pairs)):
-            trace_ctx = None
-            if recorder is not None:
-                # Stitch: workers join this trace, their top spans
-                # parented under the open "table2" span.
-                trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                             profile.active() is not None)
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(pairs))
-            ) as pool:
-                futures = []
-                for i, (bomb_id, tool_name) in enumerate(pairs):
-                    path = (str(Path(tmpdir) / f"cell-{i}.jsonl")
-                            if tmpdir else None)
-                    futures.append(
-                        (path, pool.submit(_cell_worker, bomb_id,
-                                           tool_name, path, trace_ctx))
-                    )
-                for path, future in futures:
-                    cell = future.result()
-                    result.add(cell)
-                    obs.count("eval.cells_merged")
-                    if path is not None:
-                        recorder.absorb(read_events(path))
-                    if verbose:
-                        _print_cell(cell)
-    finally:
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
-    return result
-
-
 def run_table2(
     bomb_ids: tuple[str, ...] = TABLE2_BOMB_IDS,
     tools: tuple[str, ...] = TOOL_COLUMNS,
@@ -292,65 +213,53 @@ def run_table2(
 ) -> Table2Result:
     """Run the full (or a sliced) Table II evaluation.
 
-    *jobs* > 1 evaluates the independent (bomb, tool) cells on a
-    process pool; the default serial path is byte-identical to previous
-    releases, and a parallel run produces the same outcome matrix.
-    ``jobs=0`` auto-sizes the pool to the host's usable CPUs
-    (:func:`repro.service.fleet.auto_jobs` — the process CPU count
+    With *jobs* <= 1 and no *timeout* the cells run serially in this
+    process.  Otherwise they run through the campaign service's
+    executor (:func:`repro.service.executor.execute_matrix`), one forked
+    worker per cell attempt, up to *jobs* at a time; *timeout* caps each
+    cell's wall clock, mapping overruns to ``E``.  Both routes produce
+    the same outcome matrix.  ``jobs=0`` auto-sizes to the host's usable
+    CPUs (:func:`repro.service.fleet.auto_jobs` — the process CPU count
     where the platform reports one, else the scheduling affinity mask,
     else ``os.cpu_count()``).
 
     *cache* (a :class:`repro.service.ResultStore` or a directory path)
     serves unchanged cells from the content-addressed store and stores
-    fresh ones; *timeout* caps each cell's wall clock, mapping overruns
-    to ``E``.  Either option routes parallel runs through the campaign
-    service's fault-tolerant executor instead of the plain process
-    pool.
+    fresh ones.  The store is attached only while this call runs, so
+    warm reruns also skip lifting (``lift/``), restore fuzz campaigns
+    (``corpus/``) and persist flag-driven query captures (``smtlog/``),
+    and a later uncached run writes nothing into it.
     """
     store = None
     if cache is not None:
-        from ..fuzz import corpus as fuzz_corpus
-        from ..ir import superblock
         from ..service.store import ResultStore
-        from ..smt import querylog
 
         store = cache if isinstance(cache, ResultStore) else ResultStore(cache)
-        # Warm campaigns also skip lifting: caches created from here on
-        # preload from (and persist into) the store's lift/ tree.
-        superblock.attach_store(store)
-        # Fuzz campaigns persist under corpus/ the same way: an identical
-        # campaign restores its verdict + corpus with zero executions.
-        fuzz_corpus.attach_store(store)
-        # Tools whose policy sets ``query_log`` persist captured solver
-        # queries under smtlog/ the same way (see repro.smt.querylog).
-        querylog.attach_store(store)
     if jobs == 0:
         from ..service.fleet import auto_jobs
 
         jobs = auto_jobs()
-    if jobs is not None and jobs > 1:
-        if store is None and timeout is None:
-            return _run_table2_parallel(tuple(bomb_ids), tuple(tools),
-                                        verbose, jobs)
+    if (jobs is not None and jobs > 1) or timeout is not None:
         from ..service.executor import execute_matrix
 
-        return execute_matrix(tuple(bomb_ids), tuple(tools), jobs=jobs,
+        return execute_matrix(tuple(bomb_ids), tuple(tools), jobs=jobs or 1,
                               timeout=timeout, store=store, verbose=verbose)
     from ..service.fingerprint import cell_key
 
     result = Table2Result()
-    for bomb_id in bomb_ids:
-        bomb = get_bomb(bomb_id)
-        for tool_name in tools:
-            key = cell_key(bomb, tool_name) if store is not None else None
-            cell = store.get(key, bomb) if store is not None else None
-            if cell is None:
-                cell = run_cell(bomb, tool_name, timeout=timeout)
-                if store is not None and not cell.infra_failure:
-                    store.put(key, cell)
-            result.add(cell)
-            if verbose:
-                _print_cell(cell)
+    with store_slot.attach(store):
+        for bomb_id in bomb_ids:
+            bomb = get_bomb(bomb_id)
+            for tool_name in tools:
+                key = cell_key(bomb, tool_name) if store is not None else None
+                cell = store.get(key, bomb) if store is not None else None
+                if cell is None:
+                    cell = run_cell(bomb, tool_name)
+                    if store is not None:
+                        store.put(key, cell)
+                result.add(cell)
+                if verbose:
+                    _print_cell(cell)
     return result
 
 

@@ -52,7 +52,6 @@ def _store(cache):
 # -- capture -----------------------------------------------------------------
 
 def capture_matrix(bombs=None, tools=None, cache=".repro-solverlab",
-                   timeout: float | None = None,
                    verbose: bool = False) -> dict:
     """Run a (sliced) matrix with the flight recorder installed.
 
@@ -71,7 +70,7 @@ def capture_matrix(bombs=None, tools=None, cache=".repro-solverlab",
     with obs.span("solverlab", verb="capture", cells=len(bombs) * len(tools)):
         with querylog.capturing(recorder):
             result = run_table2(bomb_ids=bombs, tools=tools, verbose=verbose,
-                                timeout=timeout, cache=store)
+                                cache=store)
     persisted = recorder.persist(store)
     matched, labelled = result.agreement()
     summary = recorder.summary()

@@ -1,6 +1,6 @@
 """Fuzzing subsystem: random baseline, coverage-guided engine, hybrid driver."""
 
-from .corpus import Corpus, EdgeCoverage, attach_store
+from .corpus import Corpus, EdgeCoverage
 from .engine import CampaignResult, CoverageFuzzer, FuzzConfig
 from .hybrid import HybridPolicy, HybridReport, run_hybrid
 from .random_fuzzer import FuzzResult, random_fuzz
@@ -14,7 +14,6 @@ __all__ = [
     "FuzzResult",
     "HybridPolicy",
     "HybridReport",
-    "attach_store",
     "random_fuzz",
     "run_hybrid",
 ]

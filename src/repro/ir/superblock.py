@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 
+from .. import store_slot
 from ..isa import Instruction
 from . import il
 from .lifter import lift
@@ -346,7 +347,6 @@ def decode_stmt(data: list):
 # -- process-wide registry --------------------------------------------------
 
 _CACHES: dict[str, LiftCache] = {}
-_STORE = None
 
 
 def image_digest(image) -> str:
@@ -354,25 +354,21 @@ def image_digest(image) -> str:
     return hashlib.sha256(image.to_bytes()).hexdigest()
 
 
-def attach_store(store) -> None:
-    """Persist lift caches into *store* (a ``ResultStore``) from now on.
-
-    Caches created after this call preload from the store's ``lift/``
-    tree; :func:`persist` writes dirty caches back.
-    """
-    global _STORE
-    _STORE = store
-
-
 def cache_for(image) -> LiftCache:
-    """The process-wide :class:`LiftCache` for *image*."""
+    """The process-wide :class:`LiftCache` for *image*.
+
+    A cache created while a store is attached (:mod:`repro.store_slot`)
+    preloads from the store's ``lift/`` tree; :func:`persist` writes
+    dirty caches back.
+    """
     digest = image_digest(image)
     cache = _CACHES.get(digest)
     if cache is None:
         cache = LiftCache(digest, image)
         _CACHES[digest] = cache
-        if _STORE is not None:
-            payload = _STORE.get_lift(digest)
+        store = store_slot.current()
+        if store is not None:
+            payload = store.get_lift(digest)
             if payload is not None:
                 restored = cache.load(payload)
                 if restored:
@@ -385,15 +381,14 @@ def cache_for(image) -> LiftCache:
 
 def persist(cache: LiftCache) -> bool:
     """Write *cache* back to the attached store, if dirty."""
-    if _STORE is None or not cache.dirty:
+    store = store_slot.current()
+    if store is None or not cache.dirty:
         return False
-    _STORE.put_lift(cache.digest, cache.serialize())
+    store.put_lift(cache.digest, cache.serialize())
     cache.dirty = False
     return True
 
 
 def reset() -> None:
-    """Drop every cache and detach the store (test isolation)."""
-    global _STORE
+    """Drop every cache (test isolation)."""
     _CACHES.clear()
-    _STORE = None

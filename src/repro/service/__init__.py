@@ -10,8 +10,9 @@ Turns the one-shot Table II harness into a durable analysis service:
 * :mod:`~repro.service.queue` — the durable :class:`JobQueue` (JSONL
   journal with claim/complete records, crash recovery on replay);
 * :mod:`~repro.service.executor` — the fault-tolerant
-  :class:`CellExecutor` (per-cell wall-clock timeouts, crash requeue
-  with backoff, bounded retries, exact metrics absorption);
+  :class:`CellExecutor` and the forked cell attempt every
+  out-of-process route shares (per-cell wall-clock timeouts, crash
+  requeue with backoff, bounded retries, exact metrics absorption);
 * :mod:`~repro.service.campaign` — the :class:`CampaignService` client
   API behind ``repro campaign submit/run/status/results``;
 * :mod:`~repro.service.spec` — declarative JSON/TOML campaign specs
@@ -40,7 +41,6 @@ from .executor import (
     CellExecutor,
     execute_matrix,
     infrastructure_failure_cell,
-    run_cell_isolated,
 )
 from .fingerprint import (
     CACHE_SCHEMA,
@@ -106,7 +106,6 @@ __all__ = [
     "load_spec_file",
     "parse_spec_text",
     "render_status_line",
-    "run_cell_isolated",
     "run_fleet",
     "run_worker",
     "serve_forever",

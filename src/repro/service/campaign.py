@@ -145,12 +145,13 @@ class CampaignService:
         from ..eval.harness import Table2Result
 
         spec = self.spec(cid)
+        jobs = jobs if jobs is not None else spec.jobs
         result = Table2Result()
-        with obs.span("campaign", id=cid):
+        with obs.span("campaign", id=cid, jobs=jobs):
             with JobQueue(self._campaign_dir(cid) / "queue.jsonl") as queue:
                 executor = CellExecutor(
                     queue,
-                    jobs=jobs if jobs is not None else spec.jobs,
+                    jobs=jobs,
                     timeout=spec.timeout,
                     retries=spec.retries,
                     store=self.store,

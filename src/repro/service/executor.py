@@ -1,8 +1,9 @@
-"""Fault-tolerant cell execution: per-job processes, timeouts, retries.
+"""Fault-tolerant cell execution: forked attempts, timeouts, retries.
 
-Every cell runs in its own forked worker process, which gives the
-service three properties the PR-2 ``ProcessPoolExecutor`` fan-out could
-not provide:
+Every cell that runs outside the calling process — ``repro table2
+--jobs N`` / ``--timeout``, ``run_cell(timeout=)``, campaigns and fleet
+workers — runs as a :class:`CellAttempt`: a forked child whose only
+code is :func:`_worker_main`.  That gives three properties:
 
 * **wall-clock timeouts** — the driver kills a worker that exceeds the
   per-cell budget and classifies the cell ``E`` with a
@@ -16,10 +17,16 @@ not provide:
   driver absorbs after a *successful* attempt, so merged counters and
   stage spans never double-count killed attempts.
 
+Every worker gets the driver's result store (or none) and attaches it
+for the cell (:mod:`repro.store_slot`), so lift caches, fuzz corpora
+and query captures land in the store the same way on every route.
+
 Results travel through the filesystem (pickle written to a temp file,
 then ``os.replace``): a killed worker can leave no torn result, and the
 driver distinguishes "finished" (result file exists) from "died"
-(no file) purely by what survived.
+(no file) purely by what survived.  Drivers never sleep-poll: they
+block on the workers' process sentinels (:func:`wait`) until one exits
+or the nearest deadline passes.
 
 Infrastructure failures (timeout, crash exhaustion) are *not* written
 to the result store — they depend on the run's timeout/retry settings,
@@ -39,10 +46,10 @@ import pickle
 import signal
 import tempfile
 import time
-from dataclasses import dataclass
+from multiprocessing import connection
 from pathlib import Path
 
-from .. import obs
+from .. import obs, store_slot
 from ..obs import profile
 from ..bombs import get_bomb
 from ..bombs.suite import Bomb
@@ -50,15 +57,13 @@ from ..errors import DiagnosticKind, DiagnosticLog
 from ..eval.classify import classify
 from ..eval.harness import CellResult, run_cell
 from ..tools.api import ToolReport
-from .queue import JobQueue
+from .queue import Job, JobQueue
 from .store import ResultStore
 
 #: Crash retries before a job is classified E (attempts = retries + 1).
 DEFAULT_RETRIES = 2
 #: Base of the exponential requeue backoff, in seconds.
 DEFAULT_BACKOFF = 0.05
-#: Driver poll interval while workers run.
-_POLL_S = 0.02
 #: Grace period between SIGTERM and SIGKILL on timeout: long enough for
 #: the worker's handler to flush partial spans, short enough that a
 #: wedged worker barely delays the driver.
@@ -95,13 +100,14 @@ def infrastructure_failure_cell(bomb: Bomb, tool: str, detail: str,
 
 def _worker_main(bomb_id: str, tool: str, attempt: int,
                  result_path: str, metrics_path: str | None,
-                 trace_ctx: tuple | None = None,
-                 store_root: str | None = None) -> None:
+                 trace_ctx: tuple | None,
+                 store_root: str | None) -> None:
     """Worker process: evaluate one cell, persist the pickled result.
 
     *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
     driver, so the worker's spans join the campaign's trace and the
-    attribution profiler mirrors the driver's state.  A SIGTERM (the
+    attribution profiler mirrors the driver's state.  *store_root* is
+    the driver's result store, attached for the cell.  A SIGTERM (the
     driver's timeout path) flushes in-flight spans with an ``aborted``
     attribute and the profiler's buckets before exiting, so killed
     cells still appear in traces.
@@ -110,57 +116,146 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
     profile.uninstall()
     from ..smt import querylog
     querylog.uninstall()  # inherited captures would be lost on exit
-    if store_root is not None:
-        from ..fuzz import corpus as fuzz_corpus
-        from ..ir import superblock
-
-        worker_store = ResultStore(store_root)
-        superblock.attach_store(worker_store)
-        fuzz_corpus.attach_store(worker_store)
-        querylog.attach_store(worker_store)
     kill_spec = os.environ.get(KILL_CELL_ENV)
     if kill_spec == f"{bomb_id}:{tool}" and attempt == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     bomb = get_bomb(bomb_id)
-    if metrics_path is not None:
-        trace_id, parent_span_id, profiling_on = \
-            trace_ctx or (None, None, False)
-        recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
-                                hist_values=True, trace_id=trace_id,
-                                parent_span_id=parent_span_id)
-        profiler = profile.Profiler() if profiling_on else None
+    store = ResultStore(store_root) if store_root is not None else None
+    with store_slot.attach(store):
+        if metrics_path is not None:
+            trace_id, parent_span_id, profiling_on = \
+                trace_ctx or (None, None, False)
+            recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
+                                    hist_values=True, trace_id=trace_id,
+                                    parent_span_id=parent_span_id)
+            profiler = profile.Profiler() if profiling_on else None
 
-        def _terminated(signum, frame):
-            if profiler is not None:
-                profiler.flush_to(recorder)
-            recorder.abort_open_spans("sigterm")
-            recorder.close()
-            os._exit(128 + signal.SIGTERM)
+            def _terminated(signum, frame):
+                if profiler is not None:
+                    profiler.flush_to(recorder)
+                recorder.abort_open_spans("sigterm")
+                recorder.close()
+                os._exit(128 + signal.SIGTERM)
 
-        signal.signal(signal.SIGTERM, _terminated)
-        with obs.recording(recorder):
-            with profile.profiling(profiler):
-                with obs.span("job", bomb=bomb_id, tool=tool,
-                              attempt=attempt):
-                    cell = run_cell(bomb, tool)
-    else:
-        cell = run_cell(bomb, tool)
+            signal.signal(signal.SIGTERM, _terminated)
+            with obs.recording(recorder):
+                with profile.profiling(profiler):
+                    with obs.span("job", bomb=bomb_id, tool=tool,
+                                  attempt=attempt):
+                        cell = run_cell(bomb, tool)
+        else:
+            cell = run_cell(bomb, tool)
     tmp = result_path + ".tmp"
     with open(tmp, "wb") as fp:
         pickle.dump(cell, fp)
     os.replace(tmp, result_path)
 
 
-@dataclass
-class _Attempt:
-    """One in-flight worker process."""
+class CellAttempt:
+    """One attempt at *job*'s cell in a forked :func:`_worker_main`.
 
-    job: object
-    proc: object
-    result_path: str
-    metrics_path: str | None
-    started: float
-    deadline: float | None
+    The driver blocks in :func:`wait`, calls :meth:`stop` on an attempt
+    that :meth:`overran` its deadline, then :meth:`collect` for the cell
+    and :meth:`settle` for the job's queue transition.  The worker's
+    files live in *tmpdir*, which must outlive the attempt.
+    """
+
+    def __init__(self, job: Job, tmpdir: str, *, timeout: float | None,
+                 store: ResultStore | None):
+        self.job = job
+        self.recorder = obs.active()
+        self.result_path = str(Path(tmpdir) /
+                               f"{job.job_id}-a{job.attempts}.pkl")
+        self.metrics_path = (self.result_path + ".jsonl"
+                             if self.recorder is not None else None)
+        trace_ctx = None
+        if self.recorder is not None:
+            trace_ctx = (self.recorder.trace_id,
+                         self.recorder.current_span_id(),
+                         profile.active() is not None)
+        self.proc = _mp_context().Process(
+            target=_worker_main,
+            args=(job.bomb_id, job.tool, job.attempts, self.result_path,
+                  self.metrics_path, trace_ctx,
+                  str(store.root) if store is not None else None))
+        self.proc.start()
+        self.started = time.monotonic()
+        self.deadline = (self.started + timeout
+                         if timeout is not None else None)
+        self.timed_out = False
+
+    def overran(self, now: float) -> bool:
+        """Still running at or past the deadline."""
+        return self.deadline is not None and now >= self.deadline \
+            and self.proc.is_alive()
+
+    def stop(self) -> None:
+        """The timeout path.  SIGTERM first: the worker's handler flushes
+        partial spans and profiler buckets before exiting.  SIGKILL only
+        a worker too wedged to honor it within the grace period."""
+        self.timed_out = True
+        self.proc.terminate()
+        self.proc.join(_TERM_GRACE_S)
+        if self.proc.is_alive():
+            self.proc.kill()
+
+    def collect(self) -> CellResult | None:
+        """The worker's cell, or None when it timed out or died.
+
+        A finished worker's metrics stream is absorbed whole.  A result
+        that landed right at the deadline is honored (the atomic rename
+        means a persisted result is always whole).  A timed-out attempt
+        is terminal, so its partial stream is absorbed too, skipping a
+        last line torn by SIGKILL; a crashed attempt's stream is
+        dropped, because the retry will record the cell again.
+        """
+        from ..obs import read_events
+
+        self.proc.join()
+        absorb = self.recorder is not None and self.metrics_path is not None
+        if os.path.exists(self.result_path):
+            with open(self.result_path, "rb") as fp:
+                cell = pickle.load(fp)
+            if absorb:
+                self.recorder.absorb(read_events(self.metrics_path))
+            return cell
+        if absorb and self.timed_out and os.path.exists(self.metrics_path):
+            self.recorder.absorb(read_events(self.metrics_path, strict=False))
+        return None
+
+    def settle(self, cell: CellResult | None, *, retries: int,
+               backoff: float, now: float) -> tuple[str, dict, str]:
+        """``(transition, kwargs, outcome)`` ending this attempt's job.
+
+        *transition* names the queue method (``complete`` / ``requeue``
+        / ``exhaust``), *kwargs* its arguments past the job id, and
+        *outcome* the tally it counts as (``computed`` / ``timeouts`` /
+        ``requeued`` / ``exhausted``).  A crash is requeued after
+        ``backoff * 2**(attempt-1)`` seconds of the driver's clock
+        (*now*) while attempts remain.
+        """
+        job = self.job
+        if cell is not None:
+            return "complete", {"result": "computed"}, "computed"
+        if self.timed_out:
+            obs.count("service.cells_timeout")
+            return "complete", {"result": "timeout"}, "timeouts"
+        detail = (f"worker died (exit {self.proc.exitcode}) on attempt "
+                  f"{job.attempts}")
+        if job.attempts <= retries:
+            obs.count("service.retries")
+            obs.count("service.requeues")
+            delay = backoff * (2 ** (job.attempts - 1))
+            return ("requeue", {"reason": detail, "not_before": now + delay},
+                    "requeued")
+        return "exhaust", {"reason": detail}, "exhausted"
+
+
+def wait(attempts: list[CellAttempt], until: float | None) -> None:
+    """Block until one of *attempts* exits or the monotonic clock
+    reaches *until* (None: no bound)."""
+    timeout = None if until is None else max(0.0, until - time.monotonic())
+    connection.wait([a.proc.sentinel for a in attempts], timeout)
 
 
 class CellExecutor:
@@ -169,7 +264,8 @@ class CellExecutor:
     ``run()`` claims jobs, serves cache hits from *store*, fans misses
     out over up to *jobs* worker processes, and invokes *on_cell* with
     every finished :class:`CellResult` (cached, computed, or
-    synthesized ``E``).  Terminal job results recorded in the queue:
+    synthesized ``E``).  It opens no span of its own: the workers'
+    ``job`` spans join the caller's (``table2`` or ``campaign``).  Terminal job results recorded in the queue:
     ``cached``, ``computed``, ``timeout``, ``crash-exhausted``.
     """
 
@@ -202,194 +298,75 @@ class CellExecutor:
 
     def run(self, on_cell) -> dict:
         """Drain the queue; returns the run's summary stats."""
-        recorder = obs.active()
-        ctx = _mp_context()
-        inflight: list[_Attempt] = []
+        inflight: list[CellAttempt] = []
         with tempfile.TemporaryDirectory(prefix="repro-service-") as tmpdir:
-            with obs.span("campaign.drain", jobs=self.jobs):
-                while True:
-                    self._fill_slots(inflight, ctx, tmpdir, recorder, on_cell)
-                    if not inflight and not self.queue.pending():
-                        break
-                    if inflight:
-                        self._poll(inflight, recorder, on_cell)
-                    else:
-                        time.sleep(_POLL_S)  # backoff gap: pending not ready
+            while True:
+                self._fill_slots(inflight, tmpdir, on_cell)
+                pending = self.queue.pending()
+                if not inflight and not pending:
+                    break
+                # Wake at the first worker exit, the nearest timeout, or
+                # (with a free slot) the end of the nearest requeue
+                # backoff, whichever comes first.
+                wakeups = [a.deadline for a in inflight
+                           if a.deadline is not None]
+                if len(inflight) < self.jobs:
+                    wakeups += [job.not_before for job in pending]
+                wait(inflight, min(wakeups, default=None))
+                now = time.monotonic()
+                still = []
+                for attempt in inflight:
+                    if attempt.overran(now):
+                        attempt.stop()
+                    elif attempt.proc.is_alive():
+                        still.append(attempt)
+                        continue
+                    self._finish(attempt, on_cell)
+                inflight[:] = still
         return dict(self.stats)
 
-    def _fill_slots(self, inflight, ctx, tmpdir, recorder, on_cell) -> None:
+    def _fill_slots(self, inflight, tmpdir, on_cell) -> None:
         while len(inflight) < self.jobs:
             job = self.queue.claim(worker=f"w{len(inflight)}")
             if job is None:
                 return
             bomb = get_bomb(job.bomb_id)
+            # Keying compiles the image here, once per bomb, so every
+            # attempt at the bomb forks with it already built.
+            key = self._key(bomb, job.tool)
             if self.store is not None:
-                cached = self.store.get(self._key(bomb, job.tool), bomb)
+                cached = self.store.get(key, bomb)
                 if cached is not None:
                     self.queue.complete(job.job_id, result="cached")
                     self.stats["cells"] += 1
                     self.stats["cache_hits"] += 1
                     on_cell(cached)
                     continue
-            result_path = str(Path(tmpdir) /
-                              f"{job.job_id}-a{job.attempts}.pkl")
-            metrics_path = (result_path + ".jsonl"
-                            if recorder is not None else None)
-            trace_ctx = None
-            if recorder is not None:
-                trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                             profile.active() is not None)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(job.bomb_id, job.tool, job.attempts,
-                      result_path, metrics_path, trace_ctx,
-                      str(self.store.root) if self.store is not None
-                      else None),
-            )
-            proc.start()
-            now = time.monotonic()
-            deadline = now + self.timeout if self.timeout is not None else None
-            inflight.append(_Attempt(job, proc, result_path,
-                                     metrics_path, now, deadline))
+            inflight.append(CellAttempt(job, tmpdir, timeout=self.timeout,
+                                        store=self.store))
 
-    def _poll(self, inflight, recorder, on_cell) -> None:
-        time.sleep(_POLL_S)
-        now = time.monotonic()
-        still = []
-        for attempt in inflight:
-            if attempt.proc.is_alive():
-                if attempt.deadline is not None and now >= attempt.deadline:
-                    self._on_timeout(attempt, recorder, on_cell)
-                else:
-                    still.append(attempt)
-                continue
-            attempt.proc.join()
-            if os.path.exists(attempt.result_path):
-                self._on_finished(attempt, recorder, on_cell)
-            else:
-                self._on_crash(attempt, on_cell)
-        inflight[:] = still
-
-    # -- attempt outcomes ------------------------------------------------
-
-    def _on_finished(self, attempt, recorder, on_cell) -> None:
-        with open(attempt.result_path, "rb") as fp:
-            cell = pickle.load(fp)
-        if recorder is not None and attempt.metrics_path is not None:
-            from ..obs import read_events
-
-            recorder.absorb(read_events(attempt.metrics_path))
-        if self.store is not None:
+    def _finish(self, attempt: CellAttempt, on_cell) -> None:
+        job = attempt.job
+        cell = attempt.collect()
+        if cell is not None and self.store is not None:
             self.store.put(self._key(get_bomb(cell.bomb_id), cell.tool), cell)
-        self.queue.complete(attempt.job.job_id, result="computed")
-        self.stats["cells"] += 1
-        self.stats["computed"] += 1
-        on_cell(cell)
-
-    def _on_timeout(self, attempt, recorder, on_cell) -> None:
-        # SIGTERM first: the worker's handler flushes partial spans and
-        # profiler buckets before exiting.  SIGKILL only a worker too
-        # wedged to honor it within the grace period.
-        attempt.proc.terminate()
-        attempt.proc.join(_TERM_GRACE_S)
-        if attempt.proc.is_alive():
-            attempt.proc.kill()
-            attempt.proc.join()
-        if os.path.exists(attempt.result_path):
-            # The worker finished right at the deadline: its result is
-            # fully persisted (atomic rename), so honor it.
-            self._on_finished(attempt, recorder, on_cell)
+        transition, kwargs, outcome = attempt.settle(
+            cell, retries=self.retries, backoff=self.backoff,
+            now=time.monotonic())
+        getattr(self.queue, transition)(job.job_id, **kwargs)
+        self.stats[outcome] += 1
+        if transition == "requeue":
             return
-        job = attempt.job
-        elapsed = time.monotonic() - attempt.started
-        obs.count("service.cells_timeout")
-        # A timed-out job is terminal (never retried), so absorbing the
-        # partial stream cannot double-count.  The last line may be torn
-        # if SIGKILL raced the flush — skip it, keep the rest.
-        if recorder is not None and attempt.metrics_path is not None \
-                and os.path.exists(attempt.metrics_path):
-            from ..obs import read_events
-
-            recorder.absorb(read_events(attempt.metrics_path, strict=False))
-        cell = infrastructure_failure_cell(
-            get_bomb(job.bomb_id), job.tool,
-            f"wall-clock timeout after {self.timeout:g}s", elapsed)
-        self.queue.complete(job.job_id, result="timeout")
+        if cell is None:
+            detail = (f"wall-clock timeout after {self.timeout:g}s"
+                      if attempt.timed_out else
+                      f"worker crashed on all {job.attempts} attempts "
+                      f"(last exit {attempt.proc.exitcode})")
+            cell = infrastructure_failure_cell(
+                get_bomb(job.bomb_id), job.tool, detail,
+                time.monotonic() - attempt.started)
         self.stats["cells"] += 1
-        self.stats["timeouts"] += 1
         on_cell(cell)
-
-    def _on_crash(self, attempt, on_cell) -> None:
-        job = attempt.job
-        exitcode = attempt.proc.exitcode
-        detail = f"worker died (exit {exitcode}) on attempt {job.attempts}"
-        if job.attempts <= self.retries:
-            obs.count("service.retries")
-            delay = self.backoff * (2 ** (job.attempts - 1))
-            self.queue.requeue(job.job_id, reason=detail,
-                               not_before=time.monotonic() + delay)
-            self.stats["requeued"] += 1
-            return
-        self.queue.exhaust(job.job_id, reason=detail)
-        elapsed = time.monotonic() - attempt.started
-        cell = infrastructure_failure_cell(
-            get_bomb(job.bomb_id), job.tool,
-            f"worker crashed on all {job.attempts} attempts "
-            f"(last exit {exitcode})", elapsed)
-        self.stats["cells"] += 1
-        self.stats["exhausted"] += 1
-        on_cell(cell)
-
-
-def run_cell_isolated(bomb: Bomb, tool: str,
-                      timeout: float | None) -> CellResult:
-    """One cell in a killable worker process (serial ``--timeout`` path).
-
-    Single attempt: an overrun or a worker death maps straight to ``E``
-    — retries and backoff are the campaign executor's concern.
-    """
-    recorder = obs.active()
-    ctx = _mp_context()
-    with tempfile.TemporaryDirectory(prefix="repro-cell-") as tmpdir:
-        result_path = str(Path(tmpdir) / "cell.pkl")
-        metrics_path = (result_path + ".jsonl"
-                        if recorder is not None else None)
-        trace_ctx = None
-        if recorder is not None:
-            trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                         profile.active() is not None)
-        proc = ctx.Process(target=_worker_main,
-                           args=(bomb.bomb_id, tool, 1,
-                                 result_path, metrics_path, trace_ctx))
-        started = time.monotonic()
-        proc.start()
-        proc.join(timeout)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(_TERM_GRACE_S)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-            obs.count("service.cells_timeout")
-            if recorder is not None and metrics_path is not None \
-                    and os.path.exists(metrics_path):
-                from ..obs import read_events
-
-                recorder.absorb(read_events(metrics_path, strict=False))
-            return infrastructure_failure_cell(
-                bomb, tool, f"wall-clock timeout after {timeout:g}s",
-                time.monotonic() - started)
-        if not os.path.exists(result_path):
-            return infrastructure_failure_cell(
-                bomb, tool, f"worker died (exit {proc.exitcode})",
-                time.monotonic() - started)
-        with open(result_path, "rb") as fp:
-            cell = pickle.load(fp)
-        if recorder is not None and metrics_path is not None:
-            from ..obs import read_events
-
-            recorder.absorb(read_events(metrics_path))
-        return cell
 
 
 def execute_matrix(bomb_ids: tuple[str, ...], tools: tuple[str, ...],
@@ -397,13 +374,15 @@ def execute_matrix(bomb_ids: tuple[str, ...], tools: tuple[str, ...],
                    store: ResultStore | None,
                    retries: int = DEFAULT_RETRIES,
                    verbose: bool = False):
-    """Service-backed Table II evaluation (the ``--cache``/``--timeout``
-    route of :func:`repro.eval.harness.run_table2`).
+    """Out-of-process Table II evaluation: the route of
+    :func:`repro.eval.harness.run_table2` for ``jobs > 1`` or a
+    *timeout*, and of ``run_cell(timeout=)`` as a one-cell matrix.
 
     Runs the cell matrix on an ephemeral in-memory queue through
-    :class:`CellExecutor` and reassembles a ``Table2Result``.  Cells are
-    keyed by (bomb, tool), so completion order cannot change the
-    rendered or JSON output.
+    :class:`CellExecutor` under a ``table2`` span and reassembles a
+    ``Table2Result``; ``eval.cells_merged`` counts the worker results
+    folded back in.  Cells are keyed by (bomb, tool), so completion
+    order cannot change the rendered or JSON output.
     """
     from ..eval.harness import Table2Result, _print_cell
 
@@ -412,7 +391,10 @@ def execute_matrix(bomb_ids: tuple[str, ...], tools: tuple[str, ...],
     result = Table2Result()
     executor = CellExecutor(queue, jobs=jobs, timeout=timeout,
                             retries=retries, store=store)
-    executor.run(result.add)
+    with obs.span("table2", jobs=jobs, cells=len(bomb_ids) * len(tools)):
+        stats = executor.run(result.add)
+        if stats["computed"]:
+            obs.count("eval.cells_merged", stats["computed"])
     if verbose:
         for bomb_id in bomb_ids:
             for tool in tools:

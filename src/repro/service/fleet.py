@@ -27,10 +27,12 @@ filesystem) drain campaigns cooperatively without double-execution:
 
 :class:`FleetWorker` is the pull loop: discover campaigns under the
 service root, claim a leased cell, serve it from the shared store or
-execute it in a killable subprocess (reusing the executor's worker
-entry point, timeout mapping, and crash/retry classification), and
-record the terminal transition.  ``repro worker --jobs N`` forks N such
-loops; ``--jobs 0`` sizes the pack to the host's usable CPUs.
+run it as the executor's :class:`~repro.service.executor.CellAttempt`
+(the same forked worker, store attachment, timeout mapping and
+crash/retry classification as every other route), heartbeat the lease
+while it runs, and record the terminal transition.  ``repro worker
+--jobs N`` forks N such loops; ``--jobs 0`` sizes the pack to the
+host's usable CPUs.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
-from ..obs import profile
 from ..bombs import get_bomb
-from .executor import DEFAULT_BACKOFF, _TERM_GRACE_S, _mp_context, _worker_main
+from .executor import DEFAULT_BACKOFF, CellAttempt, _mp_context, wait
 from .fingerprint import cell_key
 from .queue import CLAIMED, PENDING, Job, JobQueue
 
@@ -56,8 +57,6 @@ from .queue import CLAIMED, PENDING, Job, JobQueue
 DEFAULT_LEASE_S = 30.0
 #: Fraction of the lease after which the holder heartbeats a renewal.
 RENEW_FRACTION = 0.5
-#: Worker poll cadence while its cell subprocess runs.
-_POLL_S = 0.05
 
 
 def auto_jobs() -> int:
@@ -353,109 +352,46 @@ class FleetWorker:
         spec = self._spec_for(cid)
         bomb = get_bomb(job.bomb_id)
         key = cell_key(bomb, job.tool)
-        cached = self.store.get(key, bomb)
-        if cached is not None:
-            if queue.finish_leased(job, "complete", result="cached"):
-                self.stats.cached += 1
-            else:
-                self.stats.lease_lost += 1
+        if self.store.get(key, bomb) is not None:
+            self._finish(queue, job, "complete", {"result": "cached"},
+                         "cached")
             return
-        outcome, cell = self._attempt(bomb, job, queue,
-                                      timeout=spec.timeout)
-        if outcome == "computed":
-            # Store before completing: once the journal says done, any
-            # reader must find the result.  (infra cells never cached.)
-            if not cell.infra_failure:
-                self.store.put(key, cell)
-            if queue.finish_leased(job, "complete", result="computed"):
-                self.stats.computed += 1
-            else:
-                self.stats.lease_lost += 1
-        elif outcome == "timeout":
-            obs.count("service.cells_timeout")
-            if queue.finish_leased(job, "complete", result="timeout"):
-                self.stats.timeouts += 1
-            else:
-                self.stats.lease_lost += 1
-        else:  # crash
-            detail = (f"worker subprocess died ({outcome}) on attempt "
-                      f"{job.attempts}")
-            if job.attempts <= spec.retries:
-                obs.count("service.retries")
-                obs.count("service.requeues")
-                delay = self.backoff * (2 ** (job.attempts - 1))
-                if queue.finish_leased(job, "requeue", reason=detail,
-                                       not_before=self.clock() + delay):
-                    self.stats.requeued += 1
-                else:
-                    self.stats.lease_lost += 1
-            else:
-                if queue.finish_leased(job, "exhaust", reason=detail):
-                    self.stats.exhausted += 1
-                else:
-                    self.stats.lease_lost += 1
-
-    def _attempt(self, bomb, job: Job, queue: FleetQueue, *,
-                 timeout: float | None):
-        """One cell attempt in a killable subprocess, heartbeating the
-        lease while it runs.
-
-        Returns ``("computed", cell)``, ``("timeout", None)``, or
-        ``("exit <code>", None)`` for a crashed subprocess.
-        """
-        import pickle
-
-        recorder = obs.active()
-        ctx = _mp_context()
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmpdir:
-            result_path = str(Path(tmpdir) / f"{job.job_id}.pkl")
-            metrics_path = (result_path + ".jsonl"
-                            if recorder is not None else None)
-            trace_ctx = None
-            if recorder is not None:
-                trace_ctx = (recorder.trace_id, recorder.current_span_id(),
-                             profile.active() is not None)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(bomb.bomb_id, job.tool, job.attempts,
-                      result_path, metrics_path, trace_ctx))
-            started = time.monotonic()
-            deadline = started + timeout if timeout is not None else None
-            renew_at = self.clock() + self.lease_s * RENEW_FRACTION
-            proc.start()
-            timed_out = False
-            while proc.is_alive():
-                time.sleep(_POLL_S)
-                if self.clock() >= renew_at:
-                    queue.renew_lease(job)
-                    renew_at = self.clock() + self.lease_s * RENEW_FRACTION
-                if deadline is not None and time.monotonic() >= deadline:
-                    proc.terminate()
-                    proc.join(_TERM_GRACE_S)
-                    if proc.is_alive():
-                        proc.kill()
-                    timed_out = True
-                    break
-            proc.join()
-            if os.path.exists(result_path):
-                # Finished (possibly right at the deadline — the atomic
-                # rename means a persisted result is always whole).
-                with open(result_path, "rb") as fp:
-                    cell = pickle.load(fp)
-                if recorder is not None and metrics_path is not None \
-                        and os.path.exists(metrics_path):
-                    from ..obs import read_events
+            attempt = CellAttempt(job, tmpdir, timeout=spec.timeout,
+                                  store=self.store)
+            self._heartbeat(attempt, queue)
+            cell = attempt.collect()
+        if cell is not None:
+            # Store before completing: once the journal says done, any
+            # reader must find the result.
+            self.store.put(key, cell)
+        self._finish(queue, job, *attempt.settle(
+            cell, retries=spec.retries, backoff=self.backoff,
+            now=self.clock()))
 
-                    recorder.absorb(read_events(metrics_path))
-                return "computed", cell
-            if recorder is not None and metrics_path is not None \
-                    and os.path.exists(metrics_path):
-                from ..obs import read_events
+    def _heartbeat(self, attempt: CellAttempt, queue: FleetQueue) -> None:
+        """Renew the lease while the attempt runs; stop it on overrun."""
+        renew_every = self.lease_s * RENEW_FRACTION
+        renew_at = self.clock() + renew_every
+        while attempt.proc.is_alive():
+            if attempt.overran(time.monotonic()):
+                attempt.stop()
+                return
+            if self.clock() >= renew_at:
+                queue.renew_lease(attempt.job)
+                renew_at = self.clock() + renew_every
+            until = time.monotonic() + max(0.0, renew_at - self.clock())
+            if attempt.deadline is not None:
+                until = min(until, attempt.deadline)
+            wait([attempt], until)
 
-                recorder.absorb(read_events(metrics_path, strict=False))
-            if timed_out:
-                return "timeout", None
-            return f"exit {proc.exitcode}", None
+    def _finish(self, queue: FleetQueue, job: Job, transition: str,
+                kwargs: dict, outcome: str) -> None:
+        """Record the terminal transition iff we still hold the lease."""
+        if queue.finish_leased(job, transition, **kwargs):
+            setattr(self.stats, outcome, getattr(self.stats, outcome) + 1)
+        else:
+            self.stats.lease_lost += 1
 
 
 def run_worker(root: str | os.PathLike, *, worker_id: str | None = None,

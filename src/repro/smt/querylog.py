@@ -405,7 +405,6 @@ class QueryRecorder:
 # -- process-wide scoping ----------------------------------------------------
 
 _active: QueryRecorder | None = None
-_store = None
 
 
 def active() -> QueryRecorder | None:
@@ -421,23 +420,6 @@ def install(recorder: QueryRecorder) -> None:
 def uninstall() -> None:
     global _active
     _active = None
-
-
-def attach_store(store) -> None:
-    """Register the campaign store that flag-driven captures persist to
-    (wired next to the superblock/corpus store attachments when a run
-    has a ``--cache``)."""
-    global _store
-    _store = store
-
-
-def detach_store() -> None:
-    global _store
-    _store = None
-
-
-def attached_store():
-    return _store
 
 
 class capturing:

@@ -1,6 +1,6 @@
 """Execution-cache support for the symbolic explorer.
 
-Three pieces, all serving the same goal — stop re-deriving work the
+Two pieces, both serving the same goal — stop re-deriving work the
 engine has already done once:
 
 * :func:`compile_stmts` turns a straight-line IL statement list into a
@@ -17,11 +17,6 @@ engine has already done once:
   querying state's constraints.  DFS siblings share encodings, learnt
   clauses and variable activity; budget staging mirrors
   :meth:`repro.smt.Solver.check` query for query.
-
-* :func:`merge_states` ite-merges two states that rejoined at a
-  post-dominator with identical call stacks (behind
-  ``SymexPolicy.merge_states``), collapsing the symbolic-array bombs'
-  path blow-up.
 """
 
 from __future__ import annotations
@@ -35,19 +30,11 @@ from ..smt import (
     Expr,
     SatSolver,
     eval_expr,
-    mk_bool_and,
-    mk_bool_or,
     mk_const,
-    mk_ite,
 )
 from ..smt.solver import CheckResult, report_sat_stats
-from .state import SymState
 
 MASK64 = (1 << 64) - 1
-
-#: Differing memory bytes beyond which a merge is not worth the ite
-#: tower it would build.
-MERGE_MEM_LIMIT = 256
 
 
 # -- compiled statement handlers -------------------------------------------
@@ -422,78 +409,3 @@ class PathSolver:
 
 
 _MISS = object()
-
-
-# -- post-dominator state merging ------------------------------------------
-
-def _mergeable(a: SymState, b: SymState) -> bool:
-    return (a.pc == b.pc
-            and a.callstack == b.callstack
-            and a.alive and b.alive
-            and not a.goal and not b.goal
-            and a.flags == b.flags
-            and not a.fds and not b.fds
-            and not a.files and not b.files
-            and not a.mailbox and not b.mailbox
-            and a.next_fd == b.next_fd
-            and a.heap_next == b.heap_next
-            and a.env_escaped == b.env_escaped
-            and a.fp_dropped == b.fp_dropped
-            and a.sig_handler == b.sig_handler
-            and a.fp_constraints == b.fp_constraints)
-
-
-def merge_states(a: SymState, b: SymState) -> SymState | None:
-    """ite-merge *b* into *a* at a post-dominator rejoin, or ``None``.
-
-    Both states must sit at the same pc with identical call stacks and
-    compatible environments.  The merged state keeps the common
-    constraint prefix, replaces the two diverging suffixes with their
-    disjunction, and rewrites every differing register/memory byte as
-    ``ite(guard_a, value_a, value_b)`` — the classic veritesting move,
-    sound because the merged path condition is exactly the union of the
-    two merged paths.
-    """
-    if not _mergeable(a, b):
-        return None
-    shared = 0
-    limit = min(len(a.constraints), len(b.constraints))
-    while shared < limit and a.constraints[shared] is b.constraints[shared]:
-        shared += 1
-    suffix_a = a.constraints[shared:]
-    suffix_b = b.constraints[shared:]
-    guard_a = mk_bool_and(*suffix_a) if suffix_a else mk_const(1, 1)
-    guard_b = mk_bool_and(*suffix_b) if suffix_b else mk_const(1, 1)
-
-    # Bound the ite tower before building anything.
-    diff_mem = [addr for addr in set(a.mem) | set(b.mem)
-                if a.mem.get(addr) is not b.mem.get(addr)]
-    if len(diff_mem) > MERGE_MEM_LIMIT:
-        return None
-
-    merged = a.fork()
-    merged.pc = a.pc
-    merged.constraints = a.constraints[:shared]
-    if suffix_a and suffix_b:
-        merged.add_constraint(mk_bool_or(guard_a, guard_b))
-    for i in range(16):
-        if a.regs[i] is not b.regs[i]:
-            merged.regs[i] = mk_ite(guard_a, a.regs[i], b.regs[i])
-    for i in range(8):
-        if a.fregs[i] is not b.fregs[i]:
-            merged.fregs[i] = mk_ite(guard_a, a.fregs[i], b.fregs[i])
-    for addr in diff_mem:
-        val_a = a.mem.get(addr)
-        if val_a is None:
-            val_a = mk_const(a._image_byte(addr), 8)
-        val_b = b.mem.get(addr)
-        if val_b is None:
-            val_b = mk_const(b._image_byte(addr), 8)
-        merged.mem[addr] = mk_ite(guard_a, val_a, val_b)
-    merged.read_marks = {**b.read_marks, **a.read_marks}
-    merged.resolutions = max(a.resolutions, b.resolutions)
-    merged.steps = max(a.steps, b.steps)
-    # a's cached model satisfies the common prefix and guard_a, hence
-    # the disjunction: still a valid model of the merged state.
-    merged.model = dict(a.model)
-    return merged

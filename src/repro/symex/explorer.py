@@ -32,7 +32,7 @@ from ..smt import (
     mk_var,
 )
 from ..vm.machine import STACK_TOP
-from .cache import PathSolver, compile_stmts, merge_states
+from .cache import PathSolver, compile_stmts
 from .policy import SymexPolicy
 from .simprocedures import SIMPROCEDURES
 from .state import SymState
@@ -86,7 +86,6 @@ class AngrEngine:
         self._solver = PathSolver(policy)
         self._sb_hits = 0
         self._sb_misses = 0
-        self._merges = 0
         # Per-PC symbolic step tally; exists only while an attribution
         # profiler is installed so the step loop pays one None check.
         self._prof_pcs: dict[int, int] | None = \
@@ -144,8 +143,6 @@ class AngrEngine:
         fresh = self._cache.fresh_lifts - lifts_before
         if fresh:
             obs.count("lift.instructions", fresh)
-        if self._merges:
-            obs.count("symex.merges", self._merges)
         superblock.persist(self._cache)
         return report
 
@@ -165,7 +162,6 @@ class AngrEngine:
         worklist: deque[SymState] = deque([initial])
         total_steps = 0
         states_seen = 1
-        merging = self.policy.merge_states
         try:
             while worklist:
                 if _time.monotonic() > deadline:
@@ -203,9 +199,7 @@ class AngrEngine:
                         report.queries = self.queries
                         return report
                 if state.alive:
-                    if merging and self._try_merge(worklist, state):
-                        pass  # absorbed into a waiting sibling
-                    elif forks:
+                    if forks:
                         worklist.insert(0, state)
                     else:
                         worklist.append(state)
@@ -224,19 +218,6 @@ class AngrEngine:
         report.steps = total_steps
         report.queries = self.queries
         return report
-
-    def _try_merge(self, worklist, state: SymState) -> bool:
-        """ite-merge *state* into a waiting sibling at the same rejoin
-        point (same pc, same call stack); True when absorbed."""
-        for i, other in enumerate(worklist):
-            if other.pc != state.pc or other.callstack != state.callstack:
-                continue
-            merged = merge_states(other, state)
-            if merged is not None:
-                worklist[i] = merged
-                self._merges += 1
-                return True
-        return False
 
     # -- setup -------------------------------------------------------------
 
@@ -509,8 +490,6 @@ class AngrEngine:
         if not ret_addr.is_const:
             raise EngineAbort(DiagnosticKind.ENGINE_CRASH, "symbolic return address")
         state.set_reg(15, mk_const((sp + 8) & MASK64, 64))
-        if state.callstack:
-            state.callstack = state.callstack[:-1]
         state.pc = ret_addr.value
         state.steps += 1
 
@@ -567,14 +546,11 @@ class AngrEngine:
                 sp = self._conc_sp(state)
                 state.set_reg(15, mk_const((sp - 8) & MASK64, 64))
                 state.write_concrete_mem(sp - 8, mk_const(stmt.return_addr, 64), 8)
-                state.callstack = state.callstack + (stmt.return_addr,)
                 next_pc = resolved
             elif isinstance(stmt, il.Ret):
                 sp = self._conc_sp(state)
                 target = state.read_concrete_mem(sp, 8)
                 state.set_reg(15, mk_const((sp + 8) & MASK64, 64))
-                if state.callstack:
-                    state.callstack = state.callstack[:-1]
                 next_pc = self._jump_target(state, target)
             elif isinstance(stmt, il.Push):
                 value = self._get(state, tmps, stmt.src)

@@ -13,7 +13,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .. import obs
+from .. import obs, store_slot
 from ..bombs.suite import Bomb
 from ..concolic import ConcolicEngine
 from ..errors import DiagnosticLog
@@ -83,8 +83,9 @@ class Tool:
                 report = self._run_hybrid(bomb)
             else:
                 report = self._run_symex(bomb)
-        if local is not None and querylog.attached_store() is not None:
-            local.persist(querylog.attached_store())
+        store = store_slot.current()
+        if local is not None and store is not None:
+            local.persist(store)
         report.elapsed = time.monotonic() - start
         if bomb.expected_unreachable and report.goal_claimed and not report.solved:
             report.false_positive = True

@@ -8,7 +8,7 @@ whole Table II cells (serial and ``jobs=2``).
 
 import pytest
 
-from repro import obs
+from repro import obs, store_slot
 from repro.bombs import get_bomb
 from repro.errors import ErrorStage
 from repro.eval import run_table2
@@ -16,7 +16,6 @@ from repro.fuzz import (
     CoverageFuzzer,
     FuzzConfig,
     HybridPolicy,
-    attach_store,
     run_hybrid,
 )
 from repro.fuzz.corpus import Corpus, EdgeCoverage, bucket_index, edge_slot
@@ -169,15 +168,11 @@ class TestCoverageFuzzer:
             return CoverageFuzzer(bomb.image, config, bomb.base_env(),
                                   argv0=b"sv_time")
 
-        attach_store(ResultStore(tmp_path))
-        try:
-            rec = obs.Recorder()
-            with obs.recording(rec):
-                cold = fresh().campaign((b"1",))
-                warm = fresh().campaign((b"1",))
-            counters = rec.snapshot()["counters"]
-        finally:
-            attach_store(None)
+        rec = obs.Recorder()
+        with store_slot.attach(ResultStore(tmp_path)), obs.recording(rec):
+            cold = fresh().campaign((b"1",))
+            warm = fresh().campaign((b"1",))
+        counters = rec.snapshot()["counters"]
         assert not cold.restored and warm.restored
         assert warm.executions == cold.executions
         assert warm.corpus.digest() == cold.corpus.digest()

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro import obs
+from repro import obs, store_slot
 from repro.bombs import get_bomb
 from repro.eval import render_table2, run_table2
 from repro.service import (
@@ -187,6 +187,29 @@ class TestTimeouts:
         report = service.run(service.submit(spec))
         assert report.stats["timeouts"] == 1
         assert report.table.cells[("cf_aes", "tritonx")].label == "E"
+
+
+class TestStoreAttachment:
+    """A cached run attaches its store only while it runs."""
+
+    def test_uncached_run_after_a_cached_one_writes_nothing(self, tmp_path):
+        store_root = tmp_path / "store"
+        run_table2(("cp_stack",), ("tritonx",), cache=str(store_root))
+        before = sorted(p for p in store_root.rglob("*") if p.is_file())
+        assert before
+        run_table2(("sv_time",), ("angrx_nolib", "hybridx"))
+        assert sorted(p for p in store_root.rglob("*")
+                      if p.is_file()) == before
+        assert store_slot.current() is None
+
+    def test_attachment_is_restored_when_a_cached_run_raises(self, tmp_path):
+        outer = ResultStore(tmp_path / "outer")
+        with store_slot.attach(outer):
+            with pytest.raises(KeyError):
+                run_table2(("cp_stack",), ("no_such_tool",),
+                           cache=str(tmp_path / "inner"))
+            assert store_slot.current() is outer
+        assert store_slot.current() is None
 
 
 class TestServiceRoutedTable2:

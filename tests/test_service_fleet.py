@@ -10,7 +10,9 @@ The acceptance criteria under test (ISSUE 7):
   run;
 * a stalled worker that outlives its lease discards its stale terminal
   transition (``service.lease_lost``) instead of double-completing;
-* ``--jobs 0`` sizes the pack to the host's usable CPUs.
+* ``--jobs 0`` sizes the pack to the host's usable CPUs;
+* fleet cells persist lifts and fuzz corpora into the campaign store
+  like every other execution route.
 """
 
 import json
@@ -22,7 +24,8 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.eval import render_table2
+from repro.eval import render_table2, run_table2
+from repro.ir import superblock
 from repro.service import (
     KILL_CELL_ENV,
     CampaignService,
@@ -226,6 +229,31 @@ class TestFleetWorker:
                             poll_s=0.01).run(drain=True)
         assert stats.exhausted == 1
         assert service.status(cid)["states"]["exhausted"] == 1
+
+    def test_fleet_fills_the_store_like_a_cached_table2_run(self, tmp_path):
+        """Fleet workers attach the campaign store in their cell
+        processes, so lifts and fuzz corpora persist beside the cell
+        results exactly as a cached ``run_table2`` writes them."""
+        # Cell processes fork from this one and inherit its process-wide
+        # lift registry; start both runs from a fresh process's state.
+        superblock.reset()
+        tools = ("angrx_nolib", "hybridx")
+        root = tmp_path / "fleet"
+        service = CampaignService(root)
+        service.submit(CampaignSpec(bombs=("cp_stack",), tools=tools))
+        stats = FleetWorker(root, worker_id="w0",
+                            poll_s=0.01).run(drain=True)
+        assert stats.computed == 2
+
+        table2_store = tmp_path / "table2"
+        run_table2(("cp_stack",), tools, jobs=2, cache=str(table2_store))
+        for tree in ("lift", "corpus"):
+            assert any((table2_store / tree).rglob("*.json")), tree
+            fleet_files = {p.name for p in (root / "store" / tree).rglob("*")
+                           if p.is_file()}
+            table2_files = {p.name for p in (table2_store / tree).rglob("*")
+                            if p.is_file()}
+            assert fleet_files == table2_files, tree
 
     def test_auto_jobs_is_a_positive_cpu_count(self):
         n = auto_jobs()

@@ -1,12 +1,10 @@
 """Tests for the shared execution cache: lifted IL, superblocks, SMC
 invalidation, store persistence, and the cache's invisibility in
-engine outcomes (cold vs warm, merging on vs off)."""
-
-import dataclasses
+engine outcomes (cold vs warm)."""
 
 import pytest
 
-from repro import obs
+from repro import obs, store_slot
 from repro.bombs import get_bomb
 from repro.ir import il, superblock
 from repro.ir.superblock import LiftCache, decode_stmt, encode_stmt
@@ -151,17 +149,17 @@ class TestStorePersistence:
         from repro.service.store import ResultStore
 
         store = ResultStore(tmp_path)
-        superblock.attach_store(store)
         image = _image()
-        cache = superblock.cache_for(image)
-        stmts, _ = cache.lift_for(_instr(Op.ADD, image.entry))
-        assert superblock.persist(cache)
+        with store_slot.attach(store):
+            cache = superblock.cache_for(image)
+            stmts, _ = cache.lift_for(_instr(Op.ADD, image.entry))
+            assert superblock.persist(cache)
         assert not cache.dirty
 
         # A "new process": fresh registry, same store.
         superblock.reset()
-        superblock.attach_store(store)
-        warm = superblock.cache_for(image)
+        with store_slot.attach(store):
+            warm = superblock.cache_for(image)
         assert warm.loaded == 1
         restored, fresh = warm.lift_for(_instr(Op.ADD, image.entry))
         assert restored == stmts and not fresh and warm.fresh_lifts == 0
@@ -206,25 +204,6 @@ class TestColdWarmIdentity:
         warm = recorder2.snapshot()["counters"]
         assert warm.get("lift.instructions", 0) == 0
         assert warm.get("cache.superblock_misses", 0) == 0
-
-
-class TestStateMerging:
-    @pytest.mark.parametrize("bomb_id", ["sa_l1_array", "sa_l2_array"])
-    def test_merging_preserves_outcomes(self, bomb_id):
-        bomb = get_bomb(bomb_id)
-        plain = AngrEngine(bomb.image, _fast_policy()).explore(
-            bomb.seed_argv, argv0=b"x")
-        superblock.reset()
-        merged = AngrEngine(
-            bomb.image, _fast_policy(merge_states=True),
-        ).explore(bomb.seed_argv, argv0=b"x")
-        assert plain.claimed_inputs == merged.claimed_inputs
-        assert plain.goal_claimed == merged.goal_claimed
-
-    def test_merge_states_changes_fingerprint(self):
-        base = _fast_policy()
-        merged = dataclasses.replace(base, merge_states=True)
-        assert base.fingerprint() != merged.fingerprint()
 
 
 # -- enumeration front-end --------------------------------------------------
