@@ -32,7 +32,7 @@ from ..ir.lifter import apply_binop, apply_fp_op, flag_condition
 from ..isa import Op, instruction_size
 from ..smt import Expr, mk_binop, mk_bool_not, mk_concat_many, mk_const, mk_eq, mk_extract, mk_sext, mk_var, mk_zext
 from ..vm import Environment, Machine
-from ..vm.cpu import Context, alu, bits_to_f32, bits_to_f64, u64
+from ..vm.cpu import ALU_OPS, Context, alu, bits_to_f32, bits_to_f64, sext, u64
 from ..vm.machine import STACK_TOP
 from ..vm.syscalls import SIGRETURN_ADDR, THREAD_EXIT_ADDR, Sys
 from ..errors import SolverError
@@ -40,6 +40,9 @@ from .policy import ToolPolicy
 from ..trace.record import SignalEvent, StepEvent, SyscallEvent, Trace
 
 MASK64 = (1 << 64) - 1
+
+#: IL binop names whose concrete ALU function has another name.
+_IL_ALU = {"lshr": "shr", "ashr": "sar"}
 
 
 class ReplayAbort(Exception):
@@ -641,14 +644,10 @@ class TraceReplayer:
     def _mem_load(self, th, addr: int, width: int, signed: bool,
                   tid: int) -> tuple[int, Expr | None]:
         conc = self.memory.read_uint(addr, width)
-        if signed:
-            from ..vm.cpu import sext as csext
-
-            conc_val = csext(conc, width * 8)
-        else:
-            conc_val = conc
-        if not self._beyond_flagged and any(
-            addr + i in self._beyond_argv for i in range(width)
+        conc_val = sext(conc, width * 8) if signed else conc
+        beyond = self._beyond_argv
+        if beyond and not self._beyond_flagged and any(
+            addr + i in beyond for i in range(width)
         ):
             self._beyond_flagged = True
             self.diags.emit(
@@ -747,14 +746,12 @@ class TraceReplayer:
                                         self.result.total_instructions - 1)
 
     def _do_binop(self, th, tmps, stmt: il.BinOp, pc: int):
-        from ..vm.cpu import alu as _alu
-
         a_conc, a_sym = self._get(th, tmps, stmt.a)
         b_conc, b_sym = self._get(th, tmps, stmt.b)
-        alu_name = {"lshr": "shr", "ashr": "sar"}.get(stmt.op, stmt.op)
         try:
-            res = _alu(alu_name, a_conc, b_conc,
-                       th.ctx.flags if stmt.set_flags else None)
+            res = ALU_OPS[_IL_ALU.get(stmt.op, stmt.op)](
+                a_conc & MASK64, b_conc & MASK64,
+                th.ctx.flags if stmt.set_flags else None)
         except VMError:
             return "fault"
         res_sym = None

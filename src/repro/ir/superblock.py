@@ -97,7 +97,12 @@ class LiftCache:
         #: pcs ever evicted by a concrete store; never persisted (their
         #: image bytes no longer describe what executed).
         self.smc_pcs: set[int] = set()
-        self.dirty = False
+        #: Bumped whenever entries are added (lifted or loaded).
+        self.version = 0
+        #: ``(store root, version)`` of the last store this cache was
+        #: written to or loaded from; :func:`persist` writes whenever the
+        #: attached store or the contents differ from it.
+        self.synced: tuple[str, int] | None = None
         #: Entries restored from the campaign store (telemetry).
         self.loaded = 0
         #: Cumulative count of actual lifter runs; consumers snapshot a
@@ -112,7 +117,7 @@ class LiftCache:
     def put(self, pc: int, instr: Instruction | None, size: int,
             stmts: list) -> None:
         self.stmts[pc] = (instr, size, stmts)
-        self.dirty = True
+        self.version += 1
 
     def lift_for(self, instr: Instruction) -> tuple[list, bool]:
         """The IL for *instr*, lifting at most once per pc.
@@ -138,7 +143,7 @@ class LiftCache:
             self._evict(pc)
         stmts = lift(instr)
         self.stmts[pc] = (instr, instr.size, stmts)
-        self.dirty = True
+        self.version += 1
         self.fresh_lifts += 1
         return stmts, True
 
@@ -169,6 +174,12 @@ class LiftCache:
         block = SuperBlock(pc, tuple(entries), pc, cur) if entries else None
         self.blocks[pc] = block
         return block
+
+    @property
+    def dirty(self) -> bool:
+        """True when entries exist that no synced store holds."""
+        synced = 0 if self.synced is None else self.synced[1]
+        return self.version != synced
 
     # -- self-modifying code -----------------------------------------------
 
@@ -232,6 +243,7 @@ class LiftCache:
             self.stmts[pc] = (None, size, [decode_stmt(e) for e in encoded])
             restored += 1
         self.loaded += restored
+        self.version += restored
         return restored
 
 
@@ -359,7 +371,7 @@ def cache_for(image) -> LiftCache:
 
     A cache created while a store is attached (:mod:`repro.store_slot`)
     preloads from the store's ``lift/`` tree; :func:`persist` writes
-    dirty caches back.
+    it back to whichever store is attached later.
     """
     digest = image_digest(image)
     cache = _CACHES.get(digest)
@@ -375,17 +387,27 @@ def cache_for(image) -> LiftCache:
                     from .. import obs
 
                     obs.count("cache.lift_store_hits", restored)
-                cache.dirty = False
+            cache.synced = (str(store.root), cache.version)
     return cache
 
 
 def persist(cache: LiftCache) -> bool:
-    """Write *cache* back to the attached store, if dirty."""
+    """Write *cache* to the attached store unless that store already
+    holds exactly these contents (written or loaded there last).
+
+    Keyed by store, not by a single dirty bit: a cache that is clean
+    with respect to one store (or loaded from it) is still written into
+    a different store, so what lands in a store does not depend on what
+    the process ran before.
+    """
     store = store_slot.current()
-    if store is None or not cache.dirty:
+    if store is None or cache.version == 0:
+        return False
+    synced = (str(store.root), cache.version)
+    if cache.synced == synced:
         return False
     store.put_lift(cache.digest, cache.serialize())
-    cache.dirty = False
+    cache.synced = synced
     return True
 
 

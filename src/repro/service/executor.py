@@ -50,7 +50,7 @@ from multiprocessing import connection
 from pathlib import Path
 
 from .. import obs, store_slot
-from ..obs import profile
+from ..obs import profile, provenance
 from ..bombs import get_bomb
 from ..bombs.suite import Bomb
 from ..errors import DiagnosticKind, DiagnosticLog
@@ -114,6 +114,7 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
     """
     obs.uninstall()  # inherited recorder writes to the parent's fds
     profile.uninstall()
+    provenance.uninstall()  # the driver's evidence must not steer the cell
     from ..smt import querylog
     querylog.uninstall()  # inherited captures would be lost on exit
     kill_spec = os.environ.get(KILL_CELL_ENV)

@@ -31,6 +31,7 @@ from ..smt import (
     mk_eq,
     mk_var,
 )
+from ..vm.codetable import code_table
 from ..vm.machine import STACK_TOP
 from .cache import PathSolver, compile_stmts
 from .policy import SymexPolicy
@@ -75,8 +76,9 @@ class AngrEngine:
         self.policy = policy
         self.diags = diagnostics if diagnostics is not None else DiagnosticLog()
         self.syscalls = SyscallModel(self)
-        self._decode_cache: dict[int, Instruction] = {}
-        self._code_blob: dict[int, bytes] = {}
+        # Decoded instructions: the image's table, shared with every
+        # concrete machine of the image.
+        self._code = code_table(image)
         # Shared execution cache: lifted IL and superblocks live for the
         # process, keyed by the image digest; compiled handler lists are
         # engine-local (they close over nothing but are truncated at this
@@ -361,32 +363,24 @@ class AngrEngine:
     # -- execution ---------------------------------------------------------------------
 
     def _fetch(self, pc: int) -> Instruction:
-        instr = self._decode_cache.get(pc)
-        if instr is None:
-            if not self.image.is_code_addr(pc):
+        entry = self._code.entries.get(pc)
+        if entry is None:
+            code = self._code
+            if not code.is_code(pc):
                 raise EngineAbort(
                     DiagnosticKind.ENGINE_CRASH,
                     f"execution left mapped code at 0x{pc:x}",
                 )
-            blob = self._read_code(pc, 16)
-            instr = decode(blob, pc)
-            self._decode_cache[pc] = instr
-        return instr
-
-    def _read_code(self, addr: int, size: int) -> bytes:
-        out = bytearray(size)
-        for sec in self.image.sections:
-            lo = max(sec.vaddr, addr)
-            hi = min(sec.vaddr + len(sec.data), addr + size)
-            if lo < hi:
-                out[lo - addr : hi - addr] = sec.data[lo - sec.vaddr : hi - sec.vaddr]
-        return bytes(out)
+            entry = code.fetch(pc)
+            if entry is None:  # runs past the code range: not shared
+                return decode(code.read(pc, 16), pc)
+        return entry[0]
 
     def _block_fetch(self, pc: int) -> Instruction | None:
         """Non-raising fetch used while *building* superblocks: a pc
         outside mapped code just ends the block (the generic path raises
         if execution actually reaches it)."""
-        if not self.image.is_code_addr(pc):
+        if not self._code.is_code(pc):
             return None
         try:
             return self._fetch(pc)
@@ -818,7 +812,7 @@ class AngrEngine:
                 "symbolic jump target concretized",
             )
             return []
-        code_values = [v for v in values if self.image.is_code_addr(v)]
+        code_values = [v for v in values if self._code.is_code(v)]
         if not code_values:
             state.alive = False
             return []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..errors import VMError
 from ..isa import NUM_FPRS, NUM_GPRS
@@ -131,20 +132,7 @@ class Flags:
 
     def condition(self, name: str) -> bool:
         """Evaluate a branch condition (jz/jnz/jl/jle/jg/jge/jb/jbe/ja/jae)."""
-        zf, sf, cf, of = self.zf, self.sf, self.cf, self.of
-        table = {
-            "jz": zf,
-            "jnz": not zf,
-            "jl": sf != of,
-            "jle": zf or (sf != of),
-            "jg": not zf and (sf == of),
-            "jge": sf == of,
-            "jb": cf,
-            "jbe": cf or zf,
-            "ja": not cf and not zf,
-            "jae": not cf,
-        }
-        return table[name]
+        return CONDITIONS[name](self)
 
     def snapshot(self) -> tuple[bool, bool, bool, bool]:
         return (self.zf, self.sf, self.cf, self.of)
@@ -153,7 +141,106 @@ class Flags:
         self.zf, self.sf, self.cf, self.of = snap
 
 
+#: Branch mnemonic -> predicate over the flags; resolved once per
+#: decoded branch, not per evaluation.
+CONDITIONS: dict[str, Callable[[Flags], bool]] = {
+    "jz": lambda f: f.zf,
+    "jnz": lambda f: not f.zf,
+    "jl": lambda f: f.sf != f.of,
+    "jle": lambda f: f.zf or (f.sf != f.of),
+    "jg": lambda f: not f.zf and (f.sf == f.of),
+    "jge": lambda f: f.sf == f.of,
+    "jb": lambda f: f.cf,
+    "jbe": lambda f: f.cf or f.zf,
+    "ja": lambda f: not f.cf and not f.zf,
+    "jae": lambda f: not f.cf,
+}
+
+
 # -- ALU --------------------------------------------------------------------
+#
+# One function per base mnemonic, each taking operands already reduced
+# to 64 bits, so callers index :data:`ALU_OPS` instead of dispatching on
+# the name per operation (the VM resolves it once per decoded
+# instruction).
+
+def _div_zero() -> VMError:
+    err = VMError("integer division by zero")
+    err.signo = 8
+    return err
+
+
+def _add(a: int, b: int, flags: Flags | None) -> int:
+    result = u64(a + b)
+    if flags:
+        flags.set_add(a, b, result)
+    return result
+
+
+def _sub(a: int, b: int, flags: Flags | None) -> int:
+    result = u64(a - b)
+    if flags:
+        flags.set_sub(a, b, result)
+    return result
+
+
+def _logic(fn: Callable[[int, int], int]) -> Callable[[int, int, Flags | None], int]:
+    def op(a: int, b: int, flags: Flags | None) -> int:
+        result = fn(a, b)
+        if flags:
+            flags.set_logic(result)
+        return result
+    return op
+
+
+def _udiv(a: int, b: int) -> int:
+    if b == 0:
+        raise _div_zero()
+    return a // b
+
+
+def _urem(a: int, b: int) -> int:
+    if b == 0:
+        raise _div_zero()
+    return a % b
+
+
+def _squot(a: int, b: int) -> tuple[int, int, int]:
+    if b == 0:
+        raise _div_zero()
+    sa, sb = s64(a), s64(b)
+    quotient = abs(sa) // abs(sb)
+    if (sa < 0) != (sb < 0):
+        quotient = -quotient
+    return sa, sb, quotient
+
+
+def _sdiv(a: int, b: int) -> int:
+    return u64(_squot(a, b)[2])
+
+
+def _srem(a: int, b: int) -> int:
+    sa, sb, quotient = _squot(a, b)
+    return u64(sa - quotient * sb)
+
+
+#: Base mnemonic -> ``fn(a, b, flags)`` over 64-bit operands.
+ALU_OPS: dict[str, Callable[[int, int, Flags | None], int]] = {
+    "add": _add,
+    "sub": _sub,
+    "mul": _logic(lambda a, b: u64(a * b)),
+    "udiv": _logic(_udiv),
+    "sdiv": _logic(_sdiv),
+    "urem": _logic(_urem),
+    "srem": _logic(_srem),
+    "and": _logic(lambda a, b: a & b),
+    "or": _logic(lambda a, b: a | b),
+    "xor": _logic(lambda a, b: a ^ b),
+    "shl": _logic(lambda a, b: u64(a << (b & 63))),
+    "shr": _logic(lambda a, b: a >> (b & 63)),
+    "sar": _logic(lambda a, b: u64(s64(a) >> (b & 63))),
+}
+
 
 def alu(op_name: str, a: int, b: int, flags: Flags | None = None) -> int:
     """Compute a 64-bit ALU result and optionally update *flags*.
@@ -165,60 +252,10 @@ def alu(op_name: str, a: int, b: int, flags: Flags | None = None) -> int:
     Division by zero raises :class:`VMError` carrying ``signo=8`` —
     the machine converts it into a SIGFPE delivery.
     """
-    a, b = u64(a), u64(b)
-    if op_name == "add":
-        result = u64(a + b)
-        if flags:
-            flags.set_add(a, b, result)
-        return result
-    if op_name == "sub":
-        result = u64(a - b)
-        if flags:
-            flags.set_sub(a, b, result)
-        return result
-    if op_name == "mul":
-        result = u64(a * b)
-        if flags:
-            flags.set_logic(result)
-        return result
-    if op_name in ("udiv", "sdiv", "urem", "srem"):
-        if b == 0:
-            err = VMError("integer division by zero")
-            err.signo = 8
-            raise err
-        if op_name == "udiv":
-            result = a // b
-        elif op_name == "urem":
-            result = a % b
-        else:
-            sa, sb = s64(a), s64(b)
-            quotient = abs(sa) // abs(sb)
-            if (sa < 0) != (sb < 0):
-                quotient = -quotient
-            if op_name == "sdiv":
-                result = u64(quotient)
-            else:
-                result = u64(sa - quotient * sb)
-        if flags:
-            flags.set_logic(result)
-        return u64(result)
-    if op_name == "and":
-        result = a & b
-    elif op_name == "or":
-        result = a | b
-    elif op_name == "xor":
-        result = a ^ b
-    elif op_name == "shl":
-        result = u64(a << (b & 63))
-    elif op_name == "shr":
-        result = a >> (b & 63)
-    elif op_name == "sar":
-        result = u64(s64(a) >> (b & 63))
-    else:  # pragma: no cover
+    fn = ALU_OPS.get(op_name)
+    if fn is None:  # pragma: no cover
         raise VMError(f"unknown alu op {op_name}")
-    if flags:
-        flags.set_logic(result)
-    return result
+    return fn(u64(a), u64(b), flags)
 
 
 # -- thread context ----------------------------------------------------------

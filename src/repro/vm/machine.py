@@ -21,26 +21,14 @@ from .. import obs
 from ..obs import profile
 from ..binfmt import Image
 from ..errors import VMError
-from ..isa import (
-    COND_BRANCHES,
-    LOAD_INFO,
-    STORE_INFO,
-    FReg,
-    Imm,
-    Instruction,
-    Mem,
-    Op,
-    Reg,
-    Target,
-    decode,
-)
-from . import cpu
-from .cpu import Context, bits_to_f32, bits_to_f64, f32_round, f32_to_bits, f64_div, f64_to_bits, f64_to_i64, s64, u64
+from ..isa import Instruction, decode
+from .codetable import code_table, make_entry
+from .cpu import Context, s64, u64
+from .dispatch import BLOCK as _BLOCK
 from .env import Environment
 from .filesystem import FileHandle, FileSystem, Pipe, PipeEnd, StdStream
 from .syscalls import (
     BOMB_EXIT_CODE,
-    SIGFPE,
     SIGRETURN_ADDR,
     THREAD_EXIT_ADDR,
     Sys,
@@ -49,14 +37,9 @@ from .syscalls import (
 QUANTUM = 60
 STACK_TOP = 0x7FF0_0000
 STACK_RESERVE = 0x10_0000
-_BLOCK = object()  # sentinel: syscall must retry after blocking
 # Return address used by call_function(); never a valid code address, and
 # checked *before* stepping so the sentinel is never fetched.
 CALL_RETURN_ADDR = 0xCA11_0000
-# Ops that end a basic block: every (src, dst) pair they produce is an
-# edge for coverage purposes, including the fallthrough side of a
-# conditional branch.
-_EDGE_OPS = frozenset({Op.JMP, Op.JMPR, Op.CALL, Op.CALLR, Op.RET}) | COND_BRANCHES
 
 
 @dataclass
@@ -122,13 +105,12 @@ class Machine:
         self.steps = 0
         self._next_pid = self.env.pid
         self._next_tid = 1
-        self._decode_cache: dict[int, Instruction] = {}
-        # Fast rejection bounds for decode-cache invalidation on stores
-        # (self-modifying code): only writes into an executable section
-        # can make a cached decode stale.
-        ranges = image.code_ranges()
-        self._code_lo = min((lo for lo, _ in ranges), default=0)
-        self._code_hi = max((hi for _, hi in ranges), default=0)
+        # Decoded instructions: the image's shared table until this
+        # machine first writes into the code range (self-modifying
+        # code), then a private copy it re-decodes into.
+        self._table = table = code_table(image)
+        self._decode_cache: dict[int, tuple] = table.entries
+        self._code_lo, self._code_hi = table.lo, table.hi
         # Per-opcode/per-syscall tallies exist only while a recorder is
         # installed; the hot step loop then pays one None-check per
         # instruction when observability is off.
@@ -288,174 +270,74 @@ class Machine:
 
     # -- instruction execution ------------------------------------------------
 
+    def _private_decodes(self) -> dict[int, tuple]:
+        """This machine's own decode map, copied from the image's shared
+        table on first use (the shared one only holds image bytes)."""
+        if self._decode_cache is self._table.entries:
+            self._decode_cache = dict(self._decode_cache)
+        return self._decode_cache
+
     def _evict_decoded(self, addr: int, width: int) -> None:
-        """Self-modifying code: drop cached decodes overlapping the
-        written range (an instruction starts at most 15 bytes before)."""
-        cache = self._decode_cache
+        """Self-modifying code: drop decodes overlapping the written
+        range (an instruction starts at most 15 bytes before it)."""
+        cache = self._private_decodes()
         for pc in range(addr - 15, addr + width):
             cache.pop(pc, None)
 
+    def _write(self, proc: Process, addr: int, data: bytes) -> None:
+        """A kernel-side write into *proc*'s memory (syscall results,
+        signal frames, thread stacks); evicts decodes it overwrites."""
+        proc.memory.write(addr, data)
+        if addr < self._code_hi and addr + len(data) > self._code_lo:
+            self._evict_decoded(addr, len(data))
+
+    def _decode(self, proc: Process, pc: int) -> tuple:
+        """Decode-table miss at code address *pc*."""
+        if self._decode_cache is self._table.entries:
+            entry = self._table.fetch(pc)
+            if entry is not None:
+                return entry
+            # None: runs past the code range; decode this machine's bytes.
+        entry = self._private_decodes()[pc] = make_entry(
+            decode(proc.memory.read(pc, 16), pc))
+        return entry
+
     def _fetch(self, proc: Process, pc: int) -> Instruction:
-        instr = self._decode_cache.get(pc)
-        if instr is None or instr.addr != pc:
-            instr = decode(proc.memory.read(pc, 16), pc)
-            self._decode_cache[pc] = instr
-        return instr
+        entry = self._decode_cache.get(pc)
+        if entry is not None:
+            return entry[0]
+        if self._table.is_code(pc):
+            return self._decode(proc, pc)[0]
+        return decode(proc.memory.read(pc, 16), pc)
 
     def _step(self, proc: Process, thread: Thread) -> None:
         ctx = thread.ctx
         pc = ctx.pc
-        if pc == SIGRETURN_ADDR:
-            self._sigreturn(thread)
-            return
-        if pc == THREAD_EXIT_ADDR:
-            self._thread_exit(proc, thread)
-            return
-        if not self.image.is_code_addr(pc):
-            raise VMError(f"pc 0x{pc:x} outside code")
-        instr = self._fetch(proc, pc)
+        entry = self._decode_cache.get(pc)
+        if entry is None:
+            if pc == SIGRETURN_ADDR:
+                self._sigreturn(thread)
+                return
+            if pc == THREAD_EXIT_ADDR:
+                self._thread_exit(proc, thread)
+                return
+            if not self._table.is_code(pc):
+                raise VMError(f"pc 0x{pc:x} outside code")
+            entry = self._decode(proc, pc)
+        instr, handler, edge, name = entry
         counts = self._opcode_counts
         if counts is not None:
-            name = instr.op.name
             counts[name] = counts.get(name, 0) + 1
         pcs = self._pc_counts
         if pcs is not None:
             pcs[pc] = pcs.get(pc, 0) + 1
         if self.on_step:
             self.on_step(proc, thread, instr)
-        self._execute(proc, thread, instr)
-
-    def _execute(self, proc: Process, thread: Thread, instr: Instruction) -> None:
-        ctx = thread.ctx
-        regs = ctx.regs
-        mem = proc.memory
-        op = instr.op
-        ops = instr.operands
-        next_pc = instr.next_addr
-
-        if op is Op.NOP:
-            pass
-        elif op is Op.MOV:
-            regs[ops[0].index] = regs[ops[1].index]
-        elif op is Op.MOVI:
-            regs[ops[0].index] = ops[1].value
-        elif op in LOAD_INFO:
-            width, signed = LOAD_INFO[op]
-            addr = u64(regs[ops[1].base] + ops[1].disp)
-            value = mem.read_uint(addr, width)
-            regs[ops[0].index] = cpu.sext(value, width * 8) if signed else value
-        elif op in STORE_INFO:
-            width = STORE_INFO[op]
-            addr = u64(regs[ops[0].base] + ops[0].disp)
-            mem.write_uint(addr, regs[ops[1].index], width)
-            if addr < self._code_hi and addr + width > self._code_lo:
-                self._evict_decoded(addr, width)
-        elif op is Op.LEA:
-            regs[ops[0].index] = u64(regs[ops[1].base] + ops[1].disp)
-        elif Op.ADD <= op <= Op.SARI:
-            name = op.name.lower()
-            if isinstance(ops[1], Imm):
-                rhs = ops[1].value
-                name = name[:-1]  # strip the 'i' immediate-form suffix
-            else:
-                rhs = regs[ops[1].index]
-            regs[ops[0].index] = cpu.alu(name, regs[ops[0].index], rhs, ctx.flags)
-        elif op is Op.NOT:
-            regs[ops[0].index] = u64(~regs[ops[0].index])
-            ctx.flags.set_logic(regs[ops[0].index])
-        elif op is Op.NEG:
-            regs[ops[0].index] = cpu.alu("sub", 0, regs[ops[0].index], ctx.flags)
-        elif op in (Op.CMP, Op.CMPI):
-            rhs = ops[1].value if isinstance(ops[1], Imm) else regs[ops[1].index]
-            cpu.alu("sub", regs[ops[0].index], rhs, ctx.flags)
-        elif op is Op.TEST:
-            ctx.flags.set_logic(regs[ops[0].index] & regs[ops[1].index])
-        elif op is Op.JMP:
-            next_pc = ops[0].addr
-        elif op in COND_BRANCHES:
-            if ctx.flags.condition(op.name.lower()):
-                next_pc = ops[0].addr
-        elif op is Op.JMPR:
-            next_pc = regs[ops[0].index]
-        elif op is Op.CALL or op is Op.CALLR:
-            regs[15] = u64(regs[15] - 8)
-            mem.write_u64(regs[15], next_pc)
-            next_pc = ops[0].addr if op is Op.CALL else regs[ops[0].index]
-        elif op is Op.RET:
-            next_pc = mem.read_u64(regs[15])
-            regs[15] = u64(regs[15] + 8)
-        elif op is Op.PUSH:
-            regs[15] = u64(regs[15] - 8)
-            mem.write_u64(regs[15], regs[ops[0].index])
-        elif op is Op.POP:
-            regs[ops[0].index] = mem.read_u64(regs[15])
-            regs[15] = u64(regs[15] + 8)
-        elif op is Op.SYSCALL:
-            result = self._syscall(proc, thread)
-            if result is _BLOCK:
-                return  # do not advance pc; retry on wake
-            if result is not None:
-                regs[0] = u64(result)
-        elif op is Op.HLT:
-            self._exit_process(proc, 0)
-            return
-        else:
-            self._execute_float(proc, thread, instr)
-        ctx.pc = next_pc
-        if self.on_edge is not None and op in _EDGE_OPS:
-            self.on_edge(instr.addr, next_pc)
-
-    def _execute_float(self, proc: Process, thread: Thread, instr: Instruction) -> None:
-        ctx = thread.ctx
-        regs, fregs = ctx.regs, ctx.fregs
-        mem = proc.memory
-        op = instr.op
-        ops = instr.operands
-
-        if op is Op.FLD:
-            addr = u64(regs[ops[1].base] + ops[1].disp)
-            fregs[ops[0].index] = mem.read_u64(addr)
-        elif op is Op.FST:
-            addr = u64(regs[ops[0].base] + ops[0].disp)
-            mem.write_u64(addr, fregs[ops[1].index])
-        elif op is Op.FMOV:
-            fregs[ops[0].index] = fregs[ops[1].index]
-        elif op is Op.FMOVR:
-            fregs[ops[0].index] = regs[ops[1].index]
-        elif op is Op.RMOVF:
-            regs[ops[0].index] = fregs[ops[1].index]
-        elif op in (Op.FADDS, Op.FSUBS, Op.FMULS, Op.FDIVS):
-            a = bits_to_f32(fregs[ops[0].index])
-            b = bits_to_f32(fregs[ops[1].index])
-            fn = {Op.FADDS: lambda: a + b, Op.FSUBS: lambda: a - b,
-                  Op.FMULS: lambda: a * b, Op.FDIVS: lambda: f64_div(a, b)}[op]
-            fregs[ops[0].index] = f32_to_bits(f32_round(fn()))
-        elif op in (Op.FADDD, Op.FSUBD, Op.FMULD, Op.FDIVD):
-            a = bits_to_f64(fregs[ops[0].index])
-            b = bits_to_f64(fregs[ops[1].index])
-            fn = {Op.FADDD: lambda: a + b, Op.FSUBD: lambda: a - b,
-                  Op.FMULD: lambda: a * b, Op.FDIVD: lambda: f64_div(a, b)}[op]
-            fregs[ops[0].index] = f64_to_bits(fn())
-        elif op is Op.FCMPS:
-            ctx.flags.set_fcmp(bits_to_f32(fregs[ops[0].index]),
-                               bits_to_f32(fregs[ops[1].index]))
-        elif op is Op.FCMPD:
-            ctx.flags.set_fcmp(bits_to_f64(fregs[ops[0].index]),
-                               bits_to_f64(fregs[ops[1].index]))
-        elif op is Op.CVTIFS:
-            fregs[ops[0].index] = f32_to_bits(float(s64(regs[ops[1].index])))
-        elif op is Op.CVTFIS:
-            regs[ops[0].index] = f64_to_i64(bits_to_f32(fregs[ops[1].index]))
-        elif op is Op.CVTIFD:
-            fregs[ops[0].index] = f64_to_bits(float(s64(regs[ops[1].index])))
-        elif op is Op.CVTFID:
-            regs[ops[0].index] = f64_to_i64(bits_to_f64(fregs[ops[1].index]))
-        elif op is Op.CVTSD:
-            fregs[ops[0].index] = f64_to_bits(bits_to_f32(fregs[ops[1].index]))
-        elif op is Op.CVTDS:
-            fregs[ops[0].index] = f32_to_bits(f32_round(bits_to_f64(fregs[ops[1].index])))
-        else:  # pragma: no cover
-            raise VMError(f"unimplemented opcode {op.name}")
+        next_pc = handler(self, proc, thread, ctx)
+        if next_pc is not None:
+            ctx.pc = next_pc
+            if edge and self.on_edge is not None:
+                self.on_edge(pc, next_pc)
 
     # -- signals ----------------------------------------------------------------
 
@@ -472,7 +354,7 @@ class Machine:
             self.on_signal(proc, thread, signo, handler)
         ctx = thread.ctx
         ctx.regs[15] = u64(ctx.regs[15] - 8)
-        proc.memory.write_u64(ctx.regs[15], SIGRETURN_ADDR)
+        self._write(proc, ctx.regs[15], SIGRETURN_ADDR.to_bytes(8, "little"))
         ctx.regs[1] = signo
         ctx.pc = handler
 
@@ -543,7 +425,7 @@ class Machine:
                     return _BLOCK
             else:
                 chunk = handle.read(args[2])
-            mem.write(args[1], chunk)
+            self._write(proc, args[1], chunk)
             return len(chunk)
         if nr == Sys.OPEN:
             path = mem.read_cstr(args[0]).decode("latin1")
@@ -577,8 +459,8 @@ class Machine:
             pipe = Pipe()
             rfd = proc.alloc_fd(PipeEnd(pipe, write_end=False))
             wfd = proc.alloc_fd(PipeEnd(pipe, write_end=True))
-            mem.write_uint(args[0], rfd, 8)
-            mem.write_uint(args[0] + 8, wfd, 8)
+            self._write(proc, args[0], rfd.to_bytes(8, "little"))
+            self._write(proc, args[0] + 8, wfd.to_bytes(8, "little"))
             return 0
         if nr == Sys.WAITPID:
             target = self.processes.get(args[0])
@@ -589,14 +471,14 @@ class Machine:
                 thread.wake = lambda: not target.alive
                 return _BLOCK
             if args[1]:
-                mem.write_uint(args[1], target.exit_code or 0, 8)
+                self._write(proc, args[1], (target.exit_code or 0).to_bytes(8, "little"))
             return target.pid
         if nr == Sys.THREAD_CREATE:
             entry, arg, stack_top = args[0], args[1], args[2]
             ctx = Context(pc=entry)
             ctx.regs[1] = arg
             ctx.regs[15] = u64(stack_top - 8)
-            mem.write_u64(ctx.regs[15], THREAD_EXIT_ADDR)
+            self._write(proc, ctx.regs[15], THREAD_EXIT_ADDR.to_bytes(8, "little"))
             new_thread = Thread(self._alloc_tid(), ctx)
             proc.threads.append(new_thread)
             return new_thread.tid
@@ -618,7 +500,7 @@ class Machine:
             if body is None:
                 return -1
             data = body[: args[2]]
-            mem.write(args[1], data)
+            self._write(proc, args[1], data)
             return len(data)
         if nr == Sys.BRK:
             if args[0]:

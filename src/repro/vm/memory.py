@@ -12,6 +12,7 @@ import struct
 
 PAGE_SIZE = 0x1000
 PAGE_MASK = PAGE_SIZE - 1
+PAGE_SHIFT = 12
 MASK64 = (1 << 64) - 1
 
 
@@ -27,6 +28,10 @@ class Memory:
 
     def read(self, addr: int, size: int) -> bytes:
         addr &= MASK64
+        off = addr & PAGE_MASK
+        if off + size <= PAGE_SIZE:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            return bytes(size) if page is None else bytes(page[off : off + size])
         out = bytearray(size)
         pos = 0
         while pos < size:
@@ -40,8 +45,15 @@ class Memory:
 
     def write(self, addr: int, data: bytes | bytearray) -> None:
         addr &= MASK64
-        pos = 0
         size = len(data)
+        off = addr & PAGE_MASK
+        if off + size <= PAGE_SIZE:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            if page is None:
+                page = self._pages[addr >> PAGE_SHIFT] = bytearray(PAGE_SIZE)
+            page[off : off + size] = data
+            return
+        pos = 0
         while pos < size:
             page_no, off = divmod(addr + pos, PAGE_SIZE)
             chunk = min(size - pos, PAGE_SIZE - off)
@@ -54,6 +66,11 @@ class Memory:
     # -- integer helpers --------------------------------------------------
 
     def read_uint(self, addr: int, size: int) -> int:
+        addr &= MASK64
+        off = addr & PAGE_MASK
+        if off + size <= PAGE_SIZE:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            return 0 if page is None else int.from_bytes(page[off : off + size], "little")
         return int.from_bytes(self.read(addr, size), "little")
 
     def read_sint(self, addr: int, size: int) -> int:

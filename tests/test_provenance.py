@@ -223,3 +223,27 @@ class TestPolicyFingerprint:
 
         changed = dataclasses.replace(TRITONX, div_guard=not TRITONX.div_guard)
         assert changed.fingerprint() != TRITONX.fingerprint()
+
+
+class TestForkedCellIsolation:
+    def test_forked_cell_starts_without_the_driver_collector(self, monkeypatch):
+        """A cell forked by ``run_cell(timeout=)`` inside ``collecting()``
+        must not record into (or steer its diagnosis by) the driver's
+        collector and the evidence it already holds."""
+        from repro.bombs import get_bomb
+        from repro.eval import harness
+        from repro.service import executor
+
+        def probe(bomb, tool):
+            cell = harness.run_cell(bomb, tool)
+            active = provenance.active()
+            cell.diagnostic = "inherited" if active is not None else "clean"
+            return cell
+
+        monkeypatch.setattr(executor, "run_cell", probe)
+        with provenance.collecting() as prov:
+            prov.introduce("driver-side evidence")
+            cell = harness.run_cell(get_bomb("cp_stack"), "tritonx",
+                                    timeout=120)
+        assert cell.diagnostic == "clean"
+        assert [e.detail for e in prov.events] == ["driver-side evidence"]

@@ -25,7 +25,6 @@ import pytest
 
 from repro import obs
 from repro.eval import render_table2, run_table2
-from repro.ir import superblock
 from repro.service import (
     KILL_CELL_ENV,
     CampaignService,
@@ -234,9 +233,6 @@ class TestFleetWorker:
         """Fleet workers attach the campaign store in their cell
         processes, so lifts and fuzz corpora persist beside the cell
         results exactly as a cached ``run_table2`` writes them."""
-        # Cell processes fork from this one and inherit its process-wide
-        # lift registry; start both runs from a fresh process's state.
-        superblock.reset()
         tools = ("angrx_nolib", "hybridx")
         root = tmp_path / "fleet"
         service = CampaignService(root)

@@ -164,6 +164,25 @@ class TestStorePersistence:
         restored, fresh = warm.lift_for(_instr(Op.ADD, image.entry))
         assert restored == stmts and not fresh and warm.fresh_lifts == 0
 
+    def test_clean_cache_is_written_into_a_new_store(self, tmp_path):
+        """A cache already persisted to store A is clean for A, not for
+        every store: a cell run against a fresh store B in the same
+        process must still leave the lift payload in B."""
+        from repro.eval.harness import run_cell
+        from repro.service.store import ResultStore
+
+        bomb = get_bomb("cp_stack")
+        digest = superblock.image_digest(bomb.image)
+        store_a = ResultStore(tmp_path / "a")
+        store_b = ResultStore(tmp_path / "b")
+        with store_slot.attach(store_a):
+            run_cell(bomb, "tritonx")
+        assert store_a.get_lift(digest) is not None
+        assert not superblock.cache_for(bomb.image).dirty
+        with store_slot.attach(store_b):
+            run_cell(bomb, "tritonx")
+        assert store_b.get_lift(digest) == store_a.get_lift(digest)
+
     def test_persist_without_store_is_noop(self):
         cache = superblock.cache_for(_image())
         cache.lift_for(_instr(Op.ADD))

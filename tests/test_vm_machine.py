@@ -1,5 +1,7 @@
 """Tests for the concrete machine: memory, OS layer, processes, signals."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -347,3 +349,193 @@ class TestRunControl:
         a = run_bc(src, argv=[b"p", b"3"])
         b = run_bc(src, argv=[b"p", b"3"])
         assert a.stdout == b.stdout and a.steps == b.steps
+
+
+# -- golden identity pins ------------------------------------------------------
+#
+# Captured on the interpreter before the per-image decode table and the
+# table-dispatched step path existed.  Any change to the VM's step path
+# must leave every value here unchanged: steps, exit code, trigger,
+# stdout, the recorded trace (steps, syscalls, signals) and one coverage
+# campaign's effort and corpus.
+
+_PIN_BOMBS = ("pp_fork_pipe", "pp_pthread", "cp_exception", "fp_float",
+              "cf_sha1", "cf_aes")
+
+
+def _trace_digest(trace) -> str:
+    from repro.trace.record import StepEvent, SyscallEvent
+
+    h = hashlib.sha1()
+    for e in trace.events:
+        if isinstance(e, StepEvent):
+            rec = ("step", e.pid, e.tid, e.instr.addr, e.instr.op.name)
+        elif isinstance(e, SyscallEvent):
+            rec = ("sys", e.pid, e.tid, e.nr, e.args, e.ret,
+                   tuple((addr, data.hex()) for addr, data in e.writes))
+        else:
+            rec = ("sig", e.pid, e.tid, e.signo, e.handler, e.resume_pc)
+        h.update(repr(rec).encode())
+    return h.hexdigest()
+
+
+def _run_pins(bomb_id: str, which: str) -> tuple:
+    from repro.bombs import get_bomb
+    from repro.trace.tracer import record_trace
+
+    bomb = get_bomb(bomb_id)
+    if which == "seed":
+        argv, env = bomb.seed_argv, None
+    else:
+        argv = bomb.oracle_argv if bomb.oracle_argv is not None else bomb.seed_argv
+        env = bomb.oracle_env
+    result = bomb.run(argv, env)
+    trace = record_trace(bomb.image, [bomb_id.encode()] + list(argv),
+                         bomb.base_env().merged(env))
+    return (result.steps, result.exit_code, result.bomb_triggered,
+            hashlib.sha1(result.stdout).hexdigest(), _trace_digest(trace),
+            len(trace.events))
+
+
+def _fuzz_pins(bomb_id: str) -> tuple:
+    from repro.bombs import get_bomb
+    from repro.fuzz.engine import CoverageFuzzer, FuzzConfig
+
+    bomb = get_bomb(bomb_id)
+    fuzzer = CoverageFuzzer(
+        bomb.image, FuzzConfig(budget=12, max_steps=30_000, persist=False),
+        env=bomb.base_env(), argv0=bomb_id.encode())
+    campaign = fuzzer.campaign(tuple(bomb.seed_argv))
+    return campaign.executions, campaign.steps, campaign.corpus.digest()
+
+
+_EMPTY = "da39a3ee5e6b4b0d3255bfef95601890afd80709"   # sha1(b"")
+_BOOM = hashlib.sha1(b"BOOM!!!\n").hexdigest()
+
+#: (bomb, argv) -> (steps, exit, triggered, stdout sha1, trace sha1, events)
+GOLDEN_RUNS = {
+    ("pp_fork_pipe", "seed"):
+        (677, 0, False, _EMPTY, "658f1894366fd41153def077a72ab8a6a7a83d4b", 422),
+    ("pp_fork_pipe", "oracle"):
+        (669, 0, True, _BOOM, "658f1894366fd41153def077a72ab8a6a7a83d4b", 422),
+    ("pp_pthread", "seed"):
+        (242, 0, False, _EMPTY, "265ff84738084200e8f45ef14e83bfd90aa0e505", 244),
+    ("pp_pthread", "oracle"):
+        (240, 42, True, _BOOM, "dcc09d11b058b9c16c49db9baed505e60d1019da", 242),
+    ("cp_exception", "seed"):
+        (185, 0, False, _EMPTY, "24b1067297ea9ec2e3410b0504d0afa5c6815859", 187),
+    ("cp_exception", "oracle"):
+        (181, 42, True, _BOOM, "917af24cb0a39545a5c56223173532261661ffbf", 183),
+    ("fp_float", "seed"):
+        (191, 0, False, _EMPTY, "ff6a5fcb325ad25c6982e6c75856a3ef4f9098bc", 192),
+    ("fp_float", "oracle"):
+        (378, 42, True, _BOOM, "68c3ad17f7780b2f8e9d54ac357938b42577f497", 379),
+    ("cf_sha1", "seed"):
+        (18276, 0, False, _EMPTY, "834323e50754196ed69be4310d1476bbe83363cd", 18277),
+    ("cf_sha1", "oracle"):
+        (18284, 42, True, _BOOM, "bd6a932b619a45047ee340e448d02880df66847c", 18285),
+    ("cf_aes", "seed"):
+        (83335, 0, False, _EMPTY, "7a87fd3f0f634656de78e7e194a9d48f60f0b167", 83336),
+    ("cf_aes", "oracle"):
+        (83256, 42, True, _BOOM, "da1a86b1867caf5527db13f69ef58eb6076b44ba", 83257),
+}
+
+#: bomb -> (executions, steps, corpus digest)
+GOLDEN_FUZZ = {
+    "pp_fork_pipe":
+        (12, 7656, "cd167924a49eac7916667a802606ce3edce3ff0cea811e02708ae8cb4d8becf9"),
+    "pp_pthread":
+        (10, 2303, "2176a4e74e5102b7d99664de86c6f89c4da680fccf89460998862999d7ced90f"),
+    "cp_exception":
+        (12, 1752, "d16c90d87bca2763cee2ac60632c39b9f58bada5dea49412af13a4a211ed743b"),
+    "fp_float":
+        (12, 1553, "a705de8b37206e5efa2b1ea2ca8d56f63e9f8d7b2c6bb3f8621da0c1cf42e4a2"),
+    "cf_sha1":
+        (12, 218568, "6cd96e5ff5c24047b12f10fe73e2913711c6b045711eb1905d79fc5e6faf3a9b"),
+    "cf_aes":
+        (12, 360000, "6cd96e5ff5c24047b12f10fe73e2913711c6b045711eb1905d79fc5e6faf3a9b"),
+}
+
+
+class TestGoldenVMPins:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_RUNS))
+    def test_run_and_trace(self, key):
+        bomb_id, which = key
+        assert _run_pins(bomb_id, which) == GOLDEN_RUNS[key]
+
+    @pytest.mark.parametrize("bomb_id", _PIN_BOMBS)
+    def test_fuzz_campaign(self, bomb_id):
+        assert _fuzz_pins(bomb_id) == GOLDEN_FUZZ[bomb_id]
+
+
+_SMC_PROGRAM = """
+.text
+.global _start
+_start:
+    movi r5, 0
+site:
+    movi r1, 7
+    addi r5, 1
+    cmpi r5, 2
+    jz done
+    movi r3, site
+    movi r4, 42
+    st1 [r3+2], r4
+    jmp site
+done:
+    movi r0, 0
+    syscall
+    hlt
+"""
+
+
+_READ_INTO_CODE_PROGRAM = """
+.text
+.global _start
+_start:
+    movi r5, 0
+site:
+    movi r1, 7
+    addi r5, 1
+    cmpi r5, 2
+    jz done
+    movi r0, 1
+    movi r1, 0
+    movi r2, site
+    addi r2, 2
+    movi r3, 1
+    syscall
+    jmp site
+done:
+    movi r0, 0
+    syscall
+    hlt
+"""
+
+
+class TestSelfModifyingCode:
+    def test_syscall_write_into_code_redecodes(self):
+        """A read() landing on already-executed code evicts its decode
+        like a store does (the kernel writes the new immediate)."""
+        from repro.asm import assemble
+        from repro.binfmt import link
+
+        image = link([assemble(_READ_INTO_CODE_PROGRAM, "smc_read.s")])
+        runs = [Machine(image, [b"smc"], Environment(stdin=b"*")).run(1000)
+                for _ in range(2)]
+        assert [r.exit_code for r in runs] == [ord("*"), ord("*")]
+
+    def test_store_into_code_redecodes_on_every_machine(self):
+        """The first pass at ``site`` executes the image's bytes; the
+        store patches the immediate, so the second pass must decode the
+        patched instruction.  Later machines of the same image first hit
+        the already-decoded ``site`` and must still see their own patch,
+        and a patch on one machine never leaks into the next."""
+        from repro.asm import assemble
+        from repro.binfmt import link
+
+        image = link([assemble(_SMC_PROGRAM, "smc.s")])
+        results = [Machine(image, [b"smc"]).run(1000) for _ in range(3)]
+        assert [r.exit_code for r in results] == [42, 42, 42]
+        assert len({r.steps for r in results}) == 1
+        assert not any(r.fault or r.timed_out for r in results)
