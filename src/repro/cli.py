@@ -260,9 +260,10 @@ def cmd_table2(args) -> int:
     hotspot_text = None
     with _metrics(args, want=args.json or bool(trace_out),
                   capture=bool(trace_out)) as rec:
-        from . import obs
+        from . import obs, session
 
-        with obs.profiling(obs.Profiler() if trace_out else None) as prof:
+        prof = obs.Profiler() if trace_out else None
+        with session.use(profiler=prof):
             result = run_table2(bomb_ids=bombs, tools=tools,
                                 verbose=not args.json, jobs=args.jobs,
                                 timeout=args.timeout, cache=args.cache)
@@ -298,7 +299,7 @@ def cmd_table2(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from . import obs
+    from . import obs, session
     from .bombs import get_bomb
     from .eval.harness import _print_cell, run_cell
     from .tools.api import all_tool_names
@@ -321,9 +322,9 @@ def cmd_profile(args) -> int:
             raise SystemExit(
                 f"cannot open {args.metrics_out}: {err.strerror}")
     profiler = obs.Profiler()
-    with obs.recording(obs.Recorder(sinks=sinks, hist_values=True)):
-        with obs.profiling(profiler):
-            cell = run_cell(bomb, args.tool)
+    with session.use(recorder=obs.Recorder(sinks=sinks, hist_values=True),
+                     profiler=profiler, close=True):
+        cell = run_cell(bomb, args.tool)
     if args.trace_out:
         Path(args.trace_out).write_text(
             json.dumps(obs.chrome_trace(mem.events)))

@@ -529,11 +529,7 @@ class TraceReplayer:
         self.result = result
         # Forensics: resolved once per replay, consulted per *tainted*
         # instruction only — the untainted hot path never touches it.
-        prov = provenance.active()
-        if prov is None and self.policy.provenance:
-            prov = provenance.ProvenanceCollector()
-        self._prov = prov
-        result.provenance = prov
+        self._prov = result.provenance = provenance.active()
         self._declare_argv(trace, result)
 
         if obs.active() is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import obs
+from .. import obs, session
 from ..obs import provenance
 from ..bombs.suite import Bomb
 from ..errors import ErrorStage
@@ -199,13 +199,12 @@ def explain_cell(bomb: Bomb, tool_name: str) -> CellDiagnosis:
     against hangs.  An obs recorder is installed if the caller has
     none, so the stage wall breakdown is always populated.
     """
-    import contextlib
-
-    with contextlib.ExitStack() as stack:
-        if obs.active() is None:
-            stack.enter_context(obs.recording(obs.Recorder()))
-        with provenance.collecting() as prov:
-            cell = run_cell(bomb, tool_name)
+    outer = obs.active()
+    prov = provenance.ProvenanceCollector()
+    recorder = outer if outer is not None else obs.Recorder()
+    with session.use(recorder=recorder, provenance=prov,
+                     close=outer is None):
+        cell = run_cell(bomb, tool_name)
     return diagnose(cell, prov)
 
 

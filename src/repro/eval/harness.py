@@ -13,17 +13,17 @@ process through the campaign service's executor
 cell attempt, so a ``--jobs N`` run fans out and a stuck tool under a
 timeout maps to ``E`` instead of hanging the harness.  A ``cache`` (a
 content-addressed :class:`~repro.service.store.ResultStore`) serves
-unchanged cells on both routes and is attached for the run's duration
-(:mod:`repro.store_slot`), so lift caches, fuzz corpora and query
-captures persist into it the same way on both.
+unchanged cells on both routes and is the session's store for the
+run's duration (:mod:`repro.session`), so lift caches and fuzz corpora
+persist into it the same way on both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .. import obs, store_slot
-from ..obs import profile, provenance
+from .. import obs, session
+from ..obs import provenance
 from ..bombs import TABLE2_BOMB_IDS, TOOL_COLUMNS, all_bombs, get_bomb
 from ..bombs.suite import Bomb
 from ..errors import ErrorStage
@@ -164,7 +164,7 @@ def run_cell(bomb: Bomb, tool_name: str,
         return result.cells[(bomb.bomb_id, tool_name)]
     tool = get_tool(tool_name)
     with obs.span("cell", bomb=bomb.bomb_id, tool=tool_name) as sp, \
-            profile.cell(bomb.bomb_id, tool_name):
+            session.cell(bomb.bomb_id, tool_name):
         report = tool.analyze_bomb(bomb)
         if report.solved and report.solution is not None:
             # Re-validate the accepted solution concretely, so every
@@ -225,10 +225,10 @@ def run_table2(
 
     *cache* (a :class:`repro.service.ResultStore` or a directory path)
     serves unchanged cells from the content-addressed store and stores
-    fresh ones.  The store is attached only while this call runs, so
-    warm reruns also skip lifting (``lift/``), restore fuzz campaigns
-    (``corpus/``) and persist flag-driven query captures (``smtlog/``),
-    and a later uncached run writes nothing into it.
+    fresh ones.  The store is the session's only while this call runs,
+    so warm reruns also skip lifting (``lift/``) and restore fuzz
+    campaigns (``corpus/``), and a later uncached run writes nothing
+    into it.
     """
     store = None
     if cache is not None:
@@ -247,7 +247,7 @@ def run_table2(
     from ..service.fingerprint import cell_key
 
     result = Table2Result()
-    with store_slot.attach(store):
+    with session.use(store=store):
         for bomb_id in bomb_ids:
             bomb = get_bomb(bomb_id)
             for tool_name in tools:

@@ -34,7 +34,7 @@ import json
 import time
 from pathlib import Path
 
-from .. import obs
+from .. import obs, session
 from ..errors import SolverError
 from ..smt import querylog
 from ..smt.solver import IncrementalSolver, Solver
@@ -68,7 +68,7 @@ def capture_matrix(bombs=None, tools=None, cache=".repro-solverlab",
     store = _store(cache)
     recorder = querylog.QueryRecorder()
     with obs.span("solverlab", verb="capture", cells=len(bombs) * len(tools)):
-        with querylog.capturing(recorder):
+        with session.use(queries=recorder):
             result = run_table2(bomb_ids=bombs, tools=tools, verbose=verbose,
                                 cache=store)
     persisted = recorder.persist(store)

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .. import obs, store_slot
+from .. import obs, session
 
 MAP_SIZE = 1 << 16
 
@@ -162,18 +162,18 @@ def campaign_key(image_digest: str, fingerprint_payload: dict) -> str:
 
 # -- store persistence -----------------------------------------------------
 #
-# Campaigns persist and restore through the store attached to
-# :mod:`repro.store_slot` (a cached matrix run attaches its result
-# store); with none attached everything works storeless.
+# Campaigns persist and restore through the session's store
+# (:mod:`repro.session`; a cached matrix run installs its result
+# store); with none installed everything works storeless.
 
 def persist_campaign(key: str, payload: dict) -> None:
-    store = store_slot.current()
+    store = session.current().store
     if store is not None:
         store.put_corpus(key, payload)
 
 
 def load_campaign(key: str) -> dict | None:
-    store = store_slot.current()
+    store = session.current().store
     if store is None:
         return None
     return store.get_corpus(key)

@@ -83,12 +83,8 @@ class HybridPolicy:
 
     def fingerprint(self) -> str:
         """Stable digest of the whole driver configuration."""
-        fields = dataclasses.asdict(self)
-        fields["concolic"] = {
-            k: v for k, v in fields["concolic"].items()
-            if k not in ToolPolicy._NON_SEMANTIC
-        }
-        blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True,
+                          separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 

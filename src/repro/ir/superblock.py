@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .. import store_slot
+from .. import session
 from ..isa import Instruction
 from . import il
 from .lifter import lift
@@ -369,16 +369,16 @@ def image_digest(image) -> str:
 def cache_for(image) -> LiftCache:
     """The process-wide :class:`LiftCache` for *image*.
 
-    A cache created while a store is attached (:mod:`repro.store_slot`)
+    A cache created while the session has a store (:mod:`repro.session`)
     preloads from the store's ``lift/`` tree; :func:`persist` writes
-    it back to whichever store is attached later.
+    it back to whichever store the session holds later.
     """
     digest = image_digest(image)
     cache = _CACHES.get(digest)
     if cache is None:
         cache = LiftCache(digest, image)
         _CACHES[digest] = cache
-        store = store_slot.current()
+        store = session.current().store
         if store is not None:
             payload = store.get_lift(digest)
             if payload is not None:
@@ -400,7 +400,7 @@ def persist(cache: LiftCache) -> bool:
     a different store, so what lands in a store does not depend on what
     the process ran before.
     """
-    store = store_slot.current()
+    store = session.current().store
     if store is None or cache.version == 0:
         return False
     synced = (str(store.root), cache.version)

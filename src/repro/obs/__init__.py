@@ -2,10 +2,13 @@
 
 A dependency-free instrumentation layer: hierarchical spans with
 wall/CPU timing, named counters and histograms, and pluggable sinks
-(in-memory aggregation plus a JSONL event stream).  One process-wide
-:class:`Recorder` is installed with :func:`install`/:func:`recording`;
-when none is installed every hook degrades to a near-free no-op, so the
-engines stay import-cheap and fast with observability off.
+(in-memory aggregation plus a JSONL event stream).  The recorder, the
+attribution :class:`Profiler` and the :class:`ProvenanceCollector` are
+slots of the one instrumentation session, installed together with
+:func:`repro.session.use` (:func:`recording` is its recorder-only
+shorthand); when none is installed every hook degrades to a near-free
+no-op, so the engines stay import-cheap and fast with observability
+off.
 
 The metric names form the measurement substrate for the paper's
 artifacts (see the README glossary): ``taint.instructions_tainted`` is
@@ -20,16 +23,14 @@ from .core import (
     Span,
     active,
     count,
-    install,
     observe,
     recording,
     span,
     trace_context,
-    uninstall,
 )
 from .export import prometheus_text, render_profile, self_time_profile
-from .profile import Profiler, profiling
-from .provenance import ProvenanceCollector, collecting
+from .profile import Profiler
+from .provenance import ProvenanceCollector
 from .sinks import JsonlSink, MemorySink
 from .stats import Aggregate, aggregate_events, read_events, render_stats
 from .traceviz import (
@@ -53,12 +54,9 @@ __all__ = [
     "aggregate_events",
     "chrome_trace",
     "collapsed_stacks",
-    "collecting",
     "count",
     "hotspots",
-    "install",
     "observe",
-    "profiling",
     "prometheus_text",
     "read_events",
     "recording",
@@ -68,6 +66,5 @@ __all__ = [
     "self_time_profile",
     "span",
     "trace_context",
-    "uninstall",
     "validate_chrome_trace",
 ]

@@ -1,12 +1,13 @@
-"""Recorder core: spans, counters, histograms, process-wide scoping.
+"""Recorder core: spans, counters, histograms and the module-level hooks.
 
 Design constraints (why the shape is what it is):
 
 * **Zero cost when off.**  Engines call the module-level
-  :func:`count`/:func:`observe`/:func:`span` hooks; each is one global
-  load and a ``None`` check when no recorder is installed.  Hot loops
-  (the VM step loop, the SAT search) never call these per iteration —
-  they keep local integers and flush once per run/query.
+  :func:`count`/:func:`observe`/:func:`span` hooks; each is one read of
+  the session's recorder slot and a ``None`` check when no recorder is
+  installed.  Hot loops (the VM step loop, the SAT search) never call
+  these per iteration — they keep local integers and flush once per
+  run/query.
 * **Deterministic for tests.**  Both clocks are injectable, so span
   timing is exactly reproducible with a fake clock.
 * **Sinks see a flat event stream.**  Spans emit one event at exit
@@ -17,9 +18,12 @@ Design constraints (why the shape is what it is):
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 import uuid
+
+from .. import session as _session
 
 
 class Span:
@@ -385,63 +389,39 @@ class Recorder:
 
 
 # -- process-wide scoping ---------------------------------------------------
-
-_active: Recorder | None = None
-
+#
+# The installed recorder is a slot of the current instrumentation session
+# (:mod:`repro.session`); the hooks below read it directly.
 
 def active() -> Recorder | None:
     """The currently installed recorder, or None when observability is off."""
-    return _active
+    return _session._current.recorder
 
 
-def install(recorder: Recorder) -> None:
-    global _active
-    _active = recorder
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-class recording:
+@contextlib.contextmanager
+def recording(recorder: Recorder, close: bool = True):
     """``with recording(rec):`` — install *rec* for the block, then
-    flush/close it and restore the previous recorder."""
-
-    def __init__(self, recorder: Recorder, close: bool = True):
-        self.recorder = recorder
-        self._close = close
-        self._prev: Recorder | None = None
-
-    def __enter__(self) -> Recorder:
-        self._prev = _active
-        install(self.recorder)
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active
-        _active = self._prev
-        if self._close:
-            self.recorder.close()
-        return False
+    restore the previous recorder and (with *close*) close *rec*."""
+    with _session.use(recorder=recorder, close=close):
+        yield recorder
 
 
 # -- module-level hooks (the cheap always-callable API) ---------------------
 
 def count(name: str, n: int = 1) -> None:
-    rec = _active
+    rec = _session._current.recorder
     if rec is not None:
         rec.count(name, n)
 
 
 def observe(name: str, value: float) -> None:
-    rec = _active
+    rec = _session._current.recorder
     if rec is not None:
         rec.observe(name, value)
 
 
 def span(name: str, **attrs):
-    rec = _active
+    rec = _session._current.recorder
     if rec is None:
         return NULL_SPAN
     return rec.span(name, **attrs)
@@ -450,7 +430,7 @@ def span(name: str, **attrs):
 def trace_context() -> tuple[str | None, str | None]:
     """(trace id, innermost open span id) to thread into a forked
     worker, or ``(None, None)`` when observability is off."""
-    rec = _active
+    rec = _session._current.recorder
     if rec is None:
         return (None, None)
     return (rec.trace_id, rec.current_span_id())

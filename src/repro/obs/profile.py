@@ -24,7 +24,7 @@ The same discipline as :mod:`repro.obs.core` applies:
 
 from __future__ import annotations
 
-from . import core as _core
+from .. import session as _session
 
 #: Span names that identify a pipeline stage; the innermost open span
 #: with one of these names attributes flushed VM counts to a stage.
@@ -52,23 +52,19 @@ class Profiler:
     def __init__(self):
         self.pc_buckets: dict[tuple, dict] = {}
         self.query_buckets: dict[tuple, dict] = {}
-        self._bomb: str | None = None
-        self._tool: str | None = None
-
-    # -- cell context ----------------------------------------------------
-
-    def set_cell(self, bomb: str | None, tool: str | None) -> None:
-        self._bomb = bomb
-        self._tool = tool
 
     # -- recording -------------------------------------------------------
+    #
+    # *cell* is the (bomb, tool) pair the records are attributed to; the
+    # module hooks pass the session's current cell.
 
     def record_pcs(self, stage: str, counts: dict[int, int],
-                   walls: dict[int, float] | None = None) -> None:
+                   walls: dict[int, float] | None = None, *,
+                   cell=(None, None)) -> None:
         """Fold a run's local per-PC tally into the buckets (one call
         per run, not per step)."""
         buckets = self.pc_buckets
-        bomb, tool = self._bomb, self._tool
+        bomb, tool = cell
         for pc, steps in counts.items():
             key = (bomb, tool, stage, pc)
             bucket = buckets.get(key)
@@ -85,12 +81,12 @@ class Profiler:
 
     def record_query(self, tag, wall_s: float, status: str = "",
                      conflicts: int = 0, gates: int = 0,
-                     learnt: int = 0) -> None:
+                     learnt: int = 0, *, cell=(None, None)) -> None:
         """One solver query: latency plus CDCL effort deltas, attributed
         to the (pc, kind) constraint tag of the negated guard."""
         pc, kind = tag if isinstance(tag, tuple) and len(tag) == 2 \
             else (None, str(tag))
-        key = (self._bomb, self._tool, pc, kind)
+        key = (*cell, pc, kind)
         bucket = self.query_buckets.get(key)
         if bucket is None:
             bucket = self.query_buckets[key] = dict.fromkeys(_QUERY_STATS, 0)
@@ -108,7 +104,7 @@ class Profiler:
         # The query wall is *measured* time spent on that PC's guard, so
         # it also feeds the (stage, pc) view under the "solve" stage.
         if pc is not None:
-            self.record_pcs("solve", {}, {pc: wall_s})
+            self.record_pcs("solve", {}, {pc: wall_s}, cell=cell)
 
     # -- reading ---------------------------------------------------------
 
@@ -169,104 +165,35 @@ class Profiler:
                     bucket[stat] += event.get(stat, 0)
 
 
-# -- process-wide scoping ---------------------------------------------------
-
-_active: Profiler | None = None
-
+# -- module-level hooks (one session read + None check when off) ------------
+#
+# The installed profiler and the current cell are slots of the
+# instrumentation session (:mod:`repro.session`).
 
 def active() -> Profiler | None:
     """The installed profiler, or None when attribution is off."""
-    return _active
-
-
-def install(profiler: Profiler) -> None:
-    global _active
-    _active = profiler
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-class profiling:
-    """``with profiling(prof):`` — install for the block, then flush the
-    buckets into the active recorder's stream and restore the previous
-    profiler.  ``profiling(None)`` is a no-op block, so call sites can
-    gate on a flag without branching."""
-
-    def __init__(self, profiler: Profiler | None):
-        self.profiler = profiler
-        self._prev: Profiler | None = None
-
-    def __enter__(self) -> Profiler | None:
-        if self.profiler is not None:
-            self._prev = _active
-            install(self.profiler)
-        return self.profiler
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.profiler is not None:
-            global _active
-            _active = self._prev
-            self.profiler.flush_to(_core.active())
-        return False
-
-
-# -- module-level hooks (one global load + None check when off) -------------
-
-class _cell_ctx:
-    """Scopes the (bomb, tool) attribution context around one cell."""
-
-    __slots__ = ("_bomb", "_tool", "_prev")
-
-    def __init__(self, bomb, tool):
-        self._bomb = bomb
-        self._tool = tool
-
-    def __enter__(self):
-        prof = _active
-        if prof is not None:
-            self._prev = (prof._bomb, prof._tool)
-            prof.set_cell(self._bomb, self._tool)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        prof = _active
-        if prof is not None:
-            prof.set_cell(*self._prev)
-        return False
-
-
-def cell(bomb, tool) -> _cell_ctx:
-    return _cell_ctx(bomb, tool)
+    return _session._current.profiler
 
 
 def record_pcs(stage: str, counts, walls=None) -> None:
-    prof = _active
+    sess = _session._current
+    prof = sess.profiler
     if prof is not None and (counts or walls):
-        prof.record_pcs(stage, counts, walls)
+        prof.record_pcs(stage, counts, walls, cell=sess.cell)
 
 
 def record_vm(counts) -> None:
     """VM step-loop flush: attribute to the innermost open stage span
     (``trace`` during tracing, ``replay`` during validation, ...)."""
-    prof = _active
+    sess = _session._current
+    prof = sess.profiler
     if prof is None or not counts:
         return
     stage = "vm"
-    rec = _core.active()
+    rec = sess.recorder
     if rec is not None:
         for span in reversed(rec._stack):
             if span.name in STAGE_NAMES:
                 stage = span.name
                 break
-    prof.record_pcs(stage, counts)
-
-
-def record_query(tag, wall_s: float, status: str = "", *, conflicts: int = 0,
-                 gates: int = 0, learnt: int = 0) -> None:
-    prof = _active
-    if prof is not None and tag is not None:
-        prof.record_query(tag, wall_s, status, conflicts=conflicts,
-                          gates=gates, learnt=learnt)
+    prof.record_pcs(stage, counts, cell=sess.cell)

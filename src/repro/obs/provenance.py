@@ -8,9 +8,10 @@ UNSAT.  The paper's Figure 3 argument (printf blowing 5 tainted
 instructions up to 66) and its Es3 attributions are exactly provenance
 claims; the collector turns them into per-instruction records.
 
-Scoping mirrors :mod:`repro.obs.core`: a process-wide collector is
-installed with :func:`install`/:func:`collecting`, and the module-level
-:func:`active` hook is one global load plus a ``None`` check, so
+The collector is the ``provenance`` slot of the instrumentation
+session (:func:`repro.session.use`), which publishes its ``prov.*``
+counters into the session's recorder on exit.  The module-level
+:func:`active` hook is one session read plus a ``None`` check, so
 engines that consult it stay near-free when forensics are off (the
 default — nothing installs a collector unless ``repro explain`` or a
 test asks for one).
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import core as obs
+from .. import session as _session
 
 
 @dataclass
@@ -154,58 +155,22 @@ class ProvenanceCollector:
             "cores": [c.to_json() for c in self.cores],
         }
 
-    def flush_counts(self) -> None:
-        """Publish ``prov.*`` counters to the active obs recorder."""
-        if self.taint:
-            obs.count("prov.taint_pcs", len(self.taint))
-        if self.instances:
-            obs.count("prov.taint_instances", self.instances)
+    def flush_to(self, recorder) -> None:
+        """Publish the ``prov.*`` counters to *recorder* (if any)."""
+        if recorder is None:
+            return
         intro = len(self.introductions)
-        drops = len(self.events) - intro
-        if intro:
-            obs.count("prov.introduced", intro)
-        if drops:
-            obs.count("prov.drops", drops)
-        if self.cores:
-            obs.count("prov.unsat_cores", len(self.cores))
+        for name, value in (("prov.taint_pcs", len(self.taint)),
+                            ("prov.taint_instances", self.instances),
+                            ("prov.introduced", intro),
+                            ("prov.drops", len(self.events) - intro),
+                            ("prov.unsat_cores", len(self.cores))):
+            if value:
+                recorder.count(name, value)
 
 
-# -- process-wide scoping ---------------------------------------------------
-
-_active: ProvenanceCollector | None = None
-
+# -- module-level hook --------------------------------------------------------
 
 def active() -> ProvenanceCollector | None:
     """The installed collector, or None when forensics are off."""
-    return _active
-
-
-def install(collector: ProvenanceCollector) -> None:
-    global _active
-    _active = collector
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-class collecting:
-    """``with collecting() as prov:`` — install a collector for the
-    block, publish its ``prov.*`` counters on exit, and restore the
-    previous collector."""
-
-    def __init__(self, collector: ProvenanceCollector | None = None):
-        self.collector = collector if collector is not None else ProvenanceCollector()
-        self._prev: ProvenanceCollector | None = None
-
-    def __enter__(self) -> ProvenanceCollector:
-        self._prev = _active
-        install(self.collector)
-        return self.collector
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active
-        _active = self._prev
-        self.collector.flush_counts()
-        return False
+    return _session._current.provenance

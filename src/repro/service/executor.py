@@ -17,9 +17,11 @@ code is :func:`_worker_main`.  That gives three properties:
   driver absorbs after a *successful* attempt, so merged counters and
   stage spans never double-count killed attempts.
 
-Every worker gets the driver's result store (or none) and attaches it
-for the cell (:mod:`repro.store_slot`), so lift caches, fuzz corpora
-and query captures land in the store the same way on every route.
+Every worker starts a fresh instrumentation session (:mod:`repro.session`)
+holding only the driver's result store (or none) and, when the driver
+records, its own recorder and profiler, so lift caches and fuzz corpora
+land in the store the same way on every route and nothing the driver
+had installed leaks into the cell.
 
 Results travel through the filesystem (pickle written to a temp file,
 then ``os.replace``): a killed worker can leave no torn result, and the
@@ -49,8 +51,8 @@ import time
 from multiprocessing import connection
 from pathlib import Path
 
-from .. import obs, store_slot
-from ..obs import profile, provenance
+from .. import obs, session
+from ..obs import profile
 from ..bombs import get_bomb
 from ..bombs.suite import Bomb
 from ..errors import DiagnosticKind, DiagnosticLog
@@ -107,44 +109,37 @@ def _worker_main(bomb_id: str, tool: str, attempt: int,
     *trace_ctx* is ``(trace_id, parent_span_id, profiling)`` from the
     driver, so the worker's spans join the campaign's trace and the
     attribution profiler mirrors the driver's state.  *store_root* is
-    the driver's result store, attached for the cell.  A SIGTERM (the
-    driver's timeout path) flushes in-flight spans with an ``aborted``
-    attribute and the profiler's buckets before exiting, so killed
-    cells still appear in traces.
+    the driver's result store.  The cell runs in a fresh session: the
+    driver's collectors (whose recorder writes to the parent's fds,
+    whose evidence must not steer the cell, whose captures would be
+    lost on exit) are not inherited.  A SIGTERM (the driver's timeout
+    path) flushes in-flight spans with an ``aborted`` attribute and
+    tears the session down before exiting, so killed cells still
+    appear in traces.
     """
-    obs.uninstall()  # inherited recorder writes to the parent's fds
-    profile.uninstall()
-    provenance.uninstall()  # the driver's evidence must not steer the cell
-    from ..smt import querylog
-    querylog.uninstall()  # inherited captures would be lost on exit
     kill_spec = os.environ.get(KILL_CELL_ENV)
     if kill_spec == f"{bomb_id}:{tool}" and attempt == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     bomb = get_bomb(bomb_id)
     store = ResultStore(store_root) if store_root is not None else None
-    with store_slot.attach(store):
-        if metrics_path is not None:
-            trace_id, parent_span_id, profiling_on = \
-                trace_ctx or (None, None, False)
-            recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
-                                    hist_values=True, trace_id=trace_id,
-                                    parent_span_id=parent_span_id)
-            profiler = profile.Profiler() if profiling_on else None
-
+    recorder = profiler = None
+    if metrics_path is not None:
+        trace_id, parent_span_id, profiling_on = \
+            trace_ctx or (None, None, False)
+        recorder = obs.Recorder(sinks=[obs.JsonlSink(metrics_path)],
+                                hist_values=True, trace_id=trace_id,
+                                parent_span_id=parent_span_id)
+        profiler = profile.Profiler() if profiling_on else None
+    with session.use(recorder=recorder, profiler=profiler, store=store,
+                     fresh=True, close=True) as sess:
+        if recorder is not None:
             def _terminated(signum, frame):
-                if profiler is not None:
-                    profiler.flush_to(recorder)
                 recorder.abort_open_spans("sigterm")
-                recorder.close()
+                sess.close()
                 os._exit(128 + signal.SIGTERM)
 
             signal.signal(signal.SIGTERM, _terminated)
-            with obs.recording(recorder):
-                with profile.profiling(profiler):
-                    with obs.span("job", bomb=bomb_id, tool=tool,
-                                  attempt=attempt):
-                        cell = run_cell(bomb, tool)
-        else:
+        with obs.span("job", bomb=bomb_id, tool=tool, attempt=attempt):
             cell = run_cell(bomb, tool)
     tmp = result_path + ".tmp"
     with open(tmp, "wb") as fp:

@@ -22,11 +22,12 @@ Two halves, mirroring the IL codec in :mod:`repro.ir.superblock`:
   distinct query exactly once; per-cell manifests keep the occurrence
   stream (which cell issued which query, in order, at what cost).
 
-The process-wide hook discipline is the same as
-:mod:`repro.obs.profile`: one module-level ``_active`` slot, checked
-once per query on the solver's existing telemetry slow path.  With no
-recorder installed (and no metrics recorder / profiler either) the
-solvers take their zero-cost fast path and this module adds nothing.
+The recorder is the ``queries`` slot of the instrumentation session
+(:func:`repro.session.use`).  Each solver query emits one event
+(:func:`repro.smt.solver.report_query`) that feeds the obs counters,
+the profiler's query buckets and this recorder together; with none of
+the three installed the solvers take their zero-cost fast path and this
+module adds nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import hashlib
 import json
 
 from .. import obs
+from .. import session as _session
 from .expr import (
     _BV_BINOPS,
     _CMP_OPS,
@@ -299,25 +301,19 @@ class QueryRecorder:
         self.occurrences: dict[tuple, list[dict]] = {}
         self.queries = 0
         self.dedup_hits = 0
-        self._bomb: str | None = None
-        self._tool: str | None = None
         # Interned Expr ids are stable for the process lifetime (the
         # intern table never evicts), so one encode per distinct
         # (constraint-set, budget) identity suffices.
         self._digest_memo: dict[tuple, str] = {}
 
-    # -- cell context ----------------------------------------------------
-
-    def set_cell(self, bomb: str | None, tool: str | None) -> None:
-        self._bomb = bomb
-        self._tool = tool
-
     # -- recording -------------------------------------------------------
 
     def record_check(self, tagged, extra, tag, status: str, wall_s: float,
                      stats: dict, solver: str = "oneshot",
-                     budget: dict | None = None) -> str:
-        """Capture one solver query; returns its content digest."""
+                     budget: dict | None = None, *,
+                     cell=(None, None)) -> str:
+        """Capture one solver query, issued by the (bomb, tool) *cell*;
+        returns its content digest."""
         tagged = list(tagged)
         extra = list(extra or [])
         budget = budget or {}
@@ -340,7 +336,7 @@ class QueryRecorder:
         self.queries += 1
         obs.count("smtlog.queries")
         pc, kind = _split_tag(tag)
-        self.occurrences.setdefault((self._bomb, self._tool), []).append({
+        self.occurrences.setdefault(tuple(cell), []).append({
             "digest": digest,
             "pc": pc,
             "kind": kind,
@@ -402,79 +398,8 @@ class QueryRecorder:
         return {"stored": stored, "skipped": skipped, "cells": cells}
 
 
-# -- process-wide scoping ----------------------------------------------------
-
-_active: QueryRecorder | None = None
-
+# -- module-level hook -------------------------------------------------------
 
 def active() -> QueryRecorder | None:
     """The installed recorder, or None when query logging is off."""
-    return _active
-
-
-def install(recorder: QueryRecorder) -> None:
-    global _active
-    _active = recorder
-
-
-def uninstall() -> None:
-    global _active
-    _active = None
-
-
-class capturing:
-    """``with capturing(rec):`` — install for the block, restore the
-    previous recorder after.  ``capturing(None)`` is a no-op block, so
-    call sites can gate on a flag without branching."""
-
-    def __init__(self, recorder: QueryRecorder | None):
-        self.recorder = recorder
-        self._prev: QueryRecorder | None = None
-
-    def __enter__(self) -> QueryRecorder | None:
-        if self.recorder is not None:
-            self._prev = _active
-            install(self.recorder)
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.recorder is not None:
-            global _active
-            _active = self._prev
-        return False
-
-
-class _cell_ctx:
-    """Scopes the (bomb, tool) attribution context around one cell."""
-
-    __slots__ = ("_bomb", "_tool", "_prev")
-
-    def __init__(self, bomb, tool):
-        self._bomb = bomb
-        self._tool = tool
-
-    def __enter__(self):
-        rec = _active
-        if rec is not None:
-            self._prev = (rec._bomb, rec._tool)
-            rec.set_cell(self._bomb, self._tool)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        rec = _active
-        if rec is not None:
-            rec.set_cell(*self._prev)
-        return False
-
-
-def cell(bomb, tool) -> _cell_ctx:
-    return _cell_ctx(bomb, tool)
-
-
-def record_check(tagged, extra, tag, status: str, wall_s: float, stats: dict,
-                 solver: str = "oneshot", budget: dict | None = None) -> None:
-    """Module hook the solvers call from their telemetry slow path."""
-    rec = _active
-    if rec is not None:
-        rec.record_check(tagged, extra, tag, status, wall_s, stats,
-                         solver=solver, budget=budget)
+    return _session._current.queries

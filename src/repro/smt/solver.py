@@ -13,13 +13,12 @@ which the evaluation harness classifies as the paper's ``E`` outcome
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
-from .. import obs
-from ..obs import profile
+from .. import obs, session
 from ..errors import SolverError
-from . import querylog
 from .bitblast import BitBlaster
 from .expr import Expr, eval_expr, mk_bool_and
 from .sat import SatSolver
@@ -92,67 +91,20 @@ class Solver:
         divisors).
         """
         self.queries += 1
-        if obs.active() is None and profile.active() is None \
-                and querylog.active() is None:
-            return self._check(extra)
-        t0 = time.perf_counter()
-        status = "error"
-        try:
-            result = self._check(extra)
-            status = result.status
-            return result
-        finally:
-            wall = time.perf_counter() - t0
-            obs.count("smt.queries")
-            obs.count(f"smt.{status}")
-            obs.observe("smt.solve_s", wall)
-            stats = self._last_query_stats
-            profile.record_query(tag, wall, status,
-                                 conflicts=stats.get("conflicts", 0),
-                                 gates=stats.get("gates", 0),
-                                 learnt=stats.get("learnt", 0))
-            querylog.record_check(
-                self.tagged(), extra, tag, status, wall, stats,
-                solver="oneshot", budget=self._budget())
-
-    def _budget(self) -> dict:
-        """The effort caps that shape this solver's verdicts (part of a
-        recorded query's content address)."""
-        return {"max_conflicts": self.max_conflicts,
-                "max_clauses": self.max_clauses,
-                "max_nodes": self.max_nodes}
+        return _observed_check(self, extra, tag, "oneshot")
 
     def _check(self, extra: list[Expr] | None = None) -> CheckResult:
         self._last_query_stats = {}
-        todo = self.constraints + list(extra or [])
-        # Fast constant paths.
-        pending = []
-        for expr in todo:
-            if expr.is_const:
-                if not expr.value:
-                    return CheckResult("unsat")
-                continue
-            pending.append(expr)
-        if not pending:
-            return CheckResult("sat", {})
-        from .intervals import presolve_unsat
-
-        if presolve_unsat(pending):
-            return CheckResult("unsat")
-        if self.max_nodes is not None:
-            total = sum(e.size() for e in pending)
-            if total > self.max_nodes:
-                raise SolverError(
-                    f"constraint model too large ({total} nodes > {self.max_nodes})"
-                )
+        decided, pending = _stage([], self.constraints + list(extra or []),
+                                  0, self.max_nodes)
+        if decided is not None:
+            return decided
         sat = SatSolver(self.max_conflicts, self.max_clauses)
         blaster = BitBlaster(sat)
         try:
-            try:
+            with _encoding():
                 for expr in pending:
                     blaster.assert_true(expr)
-            except RecursionError:
-                raise SolverError("formula too deep to encode") from None
             model = sat.solve()
         finally:
             self._last_query_stats = report_sat_stats(sat, blaster)
@@ -197,10 +149,10 @@ class IncrementalSolver:
     activation literal is permanently negated, retiring the extra
     constraints while keeping every clause learnt under them sound.
 
-    Budget/staging semantics deliberately mirror :class:`Solver.check`
-    query for query (constant short-circuits, interval presolve, the
-    ``max_nodes`` guard, sticky encode errors), so driving the concolic
-    engine with either solver yields the same outcomes.
+    Staging is shared with :class:`Solver.check` (:func:`_stage`:
+    constant short-circuits, interval presolve, the ``max_nodes``
+    guard) and encode errors are sticky, so both solvers answer a query
+    the same way; the one-shot solver is the reference in the tests.
     """
 
     def __init__(self, max_conflicts: int = 100_000, max_clauses: int = 1_500_000,
@@ -270,66 +222,26 @@ class IncrementalSolver:
         if isinstance(extra, Expr):
             extra = [extra]
         self.queries += 1
-        if obs.active() is None and profile.active() is None \
-                and querylog.active() is None:
-            return self._check(list(extra or []))
-        t0 = time.perf_counter()
-        status = "error"
-        try:
-            result = self._check(list(extra or []))
-            status = result.status
-            return result
-        finally:
-            wall = time.perf_counter() - t0
-            obs.count("smt.queries")
-            obs.count(f"smt.{status}")
-            obs.observe("smt.solve_s", wall)
-            stats = self._last_query_stats
-            profile.record_query(tag, wall, status,
-                                 conflicts=stats.get("conflicts", 0),
-                                 gates=stats.get("gates", 0),
-                                 learnt=stats.get("learnt", 0))
-            querylog.record_check(
-                self.tagged(), list(extra or []), tag, status, wall, stats,
-                solver="incremental",
-                budget={"max_conflicts": self.max_conflicts,
-                        "max_clauses": self.max_clauses,
-                        "max_nodes": self.max_nodes})
+        return _observed_check(self, list(extra or []), tag, "incremental")
 
     def _check(self, extra: list[Expr]) -> CheckResult:
         self._last_query_stats = {}
         if self._prefix_false:
             return CheckResult("unsat")
-        pending: list[Expr] = []
         for expr in extra:
             if expr.width != 1:
                 raise SolverError("constraints must be width 1")
-            if expr.is_const:
-                if not expr.value:
-                    return CheckResult("unsat")
-                continue
-            pending.append(expr)
-        if not self._prefix and not pending:
-            return CheckResult("sat", {})
-        from .intervals import presolve_unsat
-
-        if presolve_unsat(self._prefix + pending):
-            return CheckResult("unsat")
-        if self.max_nodes is not None:
-            total = self._prefix_nodes + sum(e.size() for e in pending)
-            if total > self.max_nodes:
-                raise SolverError(
-                    f"constraint model too large ({total} nodes > {self.max_nodes})"
-                )
+            if expr.is_const and not expr.value:
+                break  # _stage decides unsat here; later widths go unchecked
+        decided, pending = _stage(self._prefix, extra, self._prefix_nodes,
+                                  self.max_nodes)
+        if decided is not None:
+            return decided
         obs.count("smt.assumption_queries")
         sat, blaster = self._materialize()
         try:
-            bits: list[int] = []
-            try:
-                for expr in pending:
-                    bits.append(blaster.blast(expr)[0])
-            except RecursionError:
-                raise SolverError("formula too deep to encode") from None
+            with _encoding():
+                bits = [blaster.blast(expr)[0] for expr in pending]
             assumptions: list[int] = []
             activation = None
             if bits:
@@ -363,15 +275,102 @@ class IncrementalSolver:
         while self._encoded < len(self._prefix):
             expr = self._prefix[self._encoded]
             try:
-                try:
+                with _encoding():
                     self._blaster.assert_true(expr)
-                except RecursionError:
-                    raise SolverError("formula too deep to encode") from None
             except SolverError as err:
                 self._encode_error = str(err)
                 raise
             self._encoded += 1
         return self._sat, self._blaster
+
+
+# -- shared query path --------------------------------------------------------
+
+def _stage(prefix: list[Expr], extra: list[Expr], prefix_nodes: int,
+           max_nodes: int | None):
+    """The staging both solvers run before any SAT work.
+
+    *prefix* holds already-vetted non-constant constraints (*prefix_nodes*
+    DAG nodes in total); *extra* is scanned in order, dropping constant
+    trues.  Returns ``(result, pending)``: *result* is the verdict when
+    a constant false, an empty query or the interval presolve decides
+    it (else None), *pending* the non-constant extras still to encode.
+    Raises :class:`SolverError` when the query exceeds *max_nodes*.
+    """
+    pending: list[Expr] = []
+    for expr in extra:
+        if expr.is_const:
+            if not expr.value:
+                return CheckResult("unsat"), pending
+            continue
+        pending.append(expr)
+    if not prefix and not pending:
+        return CheckResult("sat", {}), pending
+    from .intervals import presolve_unsat
+
+    if presolve_unsat(prefix + pending):
+        return CheckResult("unsat"), pending
+    if max_nodes is not None:
+        total = prefix_nodes + sum(e.size() for e in pending)
+        if total > max_nodes:
+            raise SolverError(
+                f"constraint model too large ({total} nodes > {max_nodes})"
+            )
+    return None, pending
+
+
+@contextlib.contextmanager
+def _encoding():
+    """Map the bit-blaster hitting Python's recursion limit to a
+    :class:`SolverError`."""
+    try:
+        yield
+    except RecursionError:
+        raise SolverError("formula too deep to encode") from None
+
+
+def _observed_check(solver, extra, tag, mode: str) -> CheckResult:
+    """``solver._check(extra)``, timed and reported as one query event
+    (:func:`report_query`) when the session has a collector installed."""
+    sess = session.current()
+    if not sess.observed:
+        return solver._check(extra)
+    t0 = time.perf_counter()
+    status = "error"
+    try:
+        result = solver._check(extra)
+        status = result.status
+        return result
+    finally:
+        report_query(sess, solver, extra, tag, status,
+                     time.perf_counter() - t0, mode)
+
+
+def report_query(sess, solver, extra, tag, status: str, wall_s: float,
+                 mode: str) -> None:
+    """The one event of a solver query, fed to every collector of
+    *sess*: the ``smt.queries``/``smt.<status>`` counters and the
+    ``smt.solve_s`` histogram, the profiler's bucket for the query's
+    ``(pc, kind)`` *tag*, and the query log (*mode* is ``oneshot`` or
+    ``incremental``)."""
+    stats = solver._last_query_stats
+    rec = sess.recorder
+    if rec is not None:
+        rec.count("smt.queries")
+        rec.count(f"smt.{status}")
+        rec.observe("smt.solve_s", wall_s)
+    if sess.profiler is not None and tag is not None:
+        sess.profiler.record_query(
+            tag, wall_s, status, conflicts=stats.get("conflicts", 0),
+            gates=stats.get("gates", 0), learnt=stats.get("learnt", 0),
+            cell=sess.cell)
+    if sess.queries is not None:
+        sess.queries.record_check(
+            solver.tagged(), extra, tag, status, wall_s, stats, solver=mode,
+            budget={"max_conflicts": solver.max_conflicts,
+                    "max_clauses": solver.max_clauses,
+                    "max_nodes": solver.max_nodes},
+            cell=sess.cell)
 
 
 #: Lifetime :class:`SatSolver` counters flushed as ``smt.<name>``.

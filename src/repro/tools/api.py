@@ -13,13 +13,12 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .. import obs, store_slot
+from .. import obs
 from ..bombs.suite import Bomb
 from ..concolic import ConcolicEngine
 from ..errors import DiagnosticLog
 from ..fuzz.hybrid import run_hybrid
 from ..fuzz.mutator import cracking_candidates
-from ..smt import querylog
 from ..symex import AngrEngine
 from ..vm import Environment
 from .profiles import HYBRID_PROFILES, SYMEX_PROFILES, TRACE_PROFILES
@@ -68,35 +67,16 @@ class Tool:
     def analyze_bomb(self, bomb: Bomb) -> ToolReport:
         """Run this tool on *bomb* and validate any claimed solutions."""
         start = time.monotonic()
-        # Solve-stage flight recorder: a process-wide recorder (solverlab
-        # capture) takes precedence; the per-tool policy flag installs a
-        # run-local one whose records persist into the attached campaign
-        # store.  Either way the queries are attributed to this cell.
-        local = None
-        if querylog.active() is None and self._wants_query_log():
-            local = querylog.QueryRecorder()
-        with querylog.capturing(local), \
-                querylog.cell(bomb.bomb_id, self.name):
-            if self.family == "trace":
-                report = self._run_trace(bomb)
-            elif self.family == "hybrid":
-                report = self._run_hybrid(bomb)
-            else:
-                report = self._run_symex(bomb)
-        store = store_slot.current()
-        if local is not None and store is not None:
-            local.persist(store)
+        if self.family == "trace":
+            report = self._run_trace(bomb)
+        elif self.family == "hybrid":
+            report = self._run_hybrid(bomb)
+        else:
+            report = self._run_symex(bomb)
         report.elapsed = time.monotonic() - start
         if bomb.expected_unreachable and report.goal_claimed and not report.solved:
             report.false_positive = True
         return report
-
-    def _wants_query_log(self) -> bool:
-        policy = self.policy
-        if getattr(policy, "query_log", False):
-            return True
-        # Hybrid profiles nest their concolic half's ToolPolicy.
-        return getattr(getattr(policy, "concolic", None), "query_log", False)
 
     # -- engines ------------------------------------------------------------
 

@@ -88,7 +88,6 @@ class RunResult:
     steps: int
     stdout: bytes
     timed_out: bool = False
-    fault: str | None = None
 
 
 class Machine:
@@ -189,7 +188,6 @@ class Machine:
 
     def run(self, max_steps: int = 2_000_000) -> RunResult:
         """Run to completion or until *max_steps* instructions executed."""
-        fault = None
         steps0 = self.steps
         signals0 = self._signals_delivered
         while self.steps < max_steps:
@@ -222,7 +220,6 @@ class Machine:
             steps=self.steps,
             stdout=bytes(self.stdout),
             timed_out=timed_out,
-            fault=fault,
         )
 
     def _flush_metrics(self, steps0: int, signals0: int) -> None:

@@ -8,7 +8,7 @@ whole Table II cells (serial and ``jobs=2``).
 
 import pytest
 
-from repro import obs, store_slot
+from repro import obs, session
 from repro.bombs import get_bomb
 from repro.errors import ErrorStage
 from repro.eval import run_table2
@@ -169,7 +169,7 @@ class TestCoverageFuzzer:
                                   argv0=b"sv_time")
 
         rec = obs.Recorder()
-        with store_slot.attach(ResultStore(tmp_path)), obs.recording(rec):
+        with session.use(store=ResultStore(tmp_path)), obs.recording(rec):
             cold = fresh().campaign((b"1",))
             warm = fresh().campaign((b"1",))
         counters = rec.snapshot()["counters"]

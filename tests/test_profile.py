@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro import obs
+from repro import obs, session
 from repro.bombs import get_bomb
 from repro.eval.harness import run_cell, run_table2
 from repro.obs import profile
@@ -34,36 +34,32 @@ from repro.obs.traceviz import (
 @pytest.fixture(autouse=True)
 def _no_leaked_profiler():
     """Every test starts and ends with no profiler installed."""
-    profile.uninstall()
+    assert profile.active() is None
     yield
-    profile.uninstall()
+    assert profile.active() is None
 
 
 class TestProfilerBuckets:
     def test_record_pcs_accumulates_steps(self):
         prof = profile.Profiler()
-        prof.set_cell("b", "t")
-        prof.record_pcs("trace", {0x10: 3, 0x14: 1})
-        prof.record_pcs("trace", {0x10: 2})
+        prof.record_pcs("trace", {0x10: 3, 0x14: 1}, cell=("b", "t"))
+        prof.record_pcs("trace", {0x10: 2}, cell=("b", "t"))
         assert prof.pc_buckets[("b", "t", "trace", 0x10)]["steps"] == 5
         assert prof.pc_buckets[("b", "t", "trace", 0x14)]["steps"] == 1
 
     def test_stages_and_cells_bucket_separately(self):
         prof = profile.Profiler()
-        prof.set_cell("b1", "t")
-        prof.record_pcs("trace", {0x10: 1})
-        prof.record_pcs("extract", {0x10: 1})
-        prof.set_cell("b2", "t")
-        prof.record_pcs("trace", {0x10: 1})
+        prof.record_pcs("trace", {0x10: 1}, cell=("b1", "t"))
+        prof.record_pcs("extract", {0x10: 1}, cell=("b1", "t"))
+        prof.record_pcs("trace", {0x10: 1}, cell=("b2", "t"))
         assert len(prof.pc_buckets) == 3
 
     def test_record_query_totals_and_status(self):
         prof = profile.Profiler()
-        prof.set_cell("b", "t")
         prof.record_query((0x40, "negation"), 0.5, "sat",
-                          conflicts=3, gates=100, learnt=2)
+                          conflicts=3, gates=100, learnt=2, cell=("b", "t"))
         prof.record_query((0x40, "negation"), 1.5, "unsat",
-                          conflicts=1, gates=50, learnt=1)
+                          conflicts=1, gates=50, learnt=1, cell=("b", "t"))
         bucket = prof.query_buckets[("b", "t", 0x40, "negation")]
         assert bucket["n"] == 2
         assert bucket["wall_s"] == pytest.approx(2.0)
@@ -75,16 +71,14 @@ class TestProfilerBuckets:
 
     def test_query_wall_feeds_solve_stage_pc_view(self):
         prof = profile.Profiler()
-        prof.set_cell("b", "t")
-        prof.record_query((0x40, "negation"), 0.25, "sat")
+        prof.record_query((0x40, "negation"), 0.25, "sat", cell=("b", "t"))
         assert prof.pc_buckets[("b", "t", "solve", 0x40)]["wall_s"] == \
             pytest.approx(0.25)
 
     def test_snapshot_sorts_hottest_first(self):
         prof = profile.Profiler()
-        prof.set_cell("b", "t")
-        prof.record_query((1, "negation"), 0.1)
-        prof.record_query((2, "negation"), 0.9)
+        prof.record_query((1, "negation"), 0.1, cell=("b", "t"))
+        prof.record_query((2, "negation"), 0.9, cell=("b", "t"))
         snap = prof.snapshot()
         assert [q["pc"] for q in snap["queries"]] == [2, 1]
         assert snap["pcs"][0]["pc"] == 2  # solve wall dominates
@@ -93,14 +87,13 @@ class TestProfilerBuckets:
         assert profile.active() is None
         profile.record_pcs("trace", {1: 1})
         profile.record_vm({1: 1})
-        profile.record_query((1, "negation"), 0.1)
-        with profile.cell("b", "t"):
+        with session.cell("b", "t"):
             pass  # must not raise with no profiler installed
 
     def test_record_vm_attributes_to_innermost_stage_span(self):
         prof = profile.Profiler()
         rec = obs.Recorder()
-        with obs.recording(rec, close=False), profile.profiling(prof):
+        with session.use(recorder=rec, profiler=prof):
             with obs.span("cell"), obs.span("trace"):
                 profile.record_vm({0x30: 7})
             profile.record_vm({0x31: 1})  # no stage span open
@@ -114,15 +107,14 @@ class TestFlushAbsorb:
         sink = obs.MemorySink()
         rec = obs.Recorder(sinks=[sink], hist_values=True)
         prof = profile.Profiler()
-        with obs.recording(rec):
-            with profile.profiling(prof):
-                with profile.cell(bomb, "toolx"):
-                    with obs.span("cell"), obs.span("trace"):
-                        profile.record_vm(dict(pc_steps))
-                    profile.record_query((0x99, "negation"), query_wall,
-                                         "sat", gates=10)
-                obs.count("widgets", 2)
-                obs.observe("latency", query_wall)
+        with session.use(recorder=rec, profiler=prof, close=True):
+            with session.cell(bomb, "toolx"):
+                with obs.span("cell"), obs.span("trace"):
+                    profile.record_vm(dict(pc_steps))
+                prof.record_query((0x99, "negation"), query_wall,
+                                  "sat", gates=10, cell=(bomb, "toolx"))
+            obs.count("widgets", 2)
+            obs.observe("latency", query_wall)
         return sink.events
 
     def test_two_workers_merge_into_parent_profiler(self):
@@ -131,7 +123,7 @@ class TestFlushAbsorb:
 
         parent_prof = profile.Profiler()
         parent = obs.Recorder(sinks=[obs.MemorySink()])
-        with profile.profiling(parent_prof):
+        with session.use(profiler=parent_prof):
             parent.absorb(stream_a)
             parent.absorb(stream_b)
             # Duplicate counter names across workers sum exactly.
@@ -163,9 +155,9 @@ class TestFlushAbsorb:
 
     def test_flush_absorb_roundtrip_is_exact(self):
         prof = profile.Profiler()
-        prof.set_cell("b", "t")
-        prof.record_pcs("trace", {1: 4, 2: 9})
-        prof.record_query((3, "negation"), 0.5, "sat", conflicts=2)
+        prof.record_pcs("trace", {1: 4, 2: 9}, cell=("b", "t"))
+        prof.record_query((3, "negation"), 0.5, "sat", conflicts=2,
+                          cell=("b", "t"))
         sink = obs.MemorySink()
         rec = obs.Recorder(sinks=[sink])
         prof.flush_to(rec)
@@ -198,10 +190,9 @@ class TestTraceStitching:
     def test_parallel_table2_yields_one_stitched_trace(self):
         sink = obs.MemorySink()
         rec = obs.Recorder(sinks=[sink], hist_values=True)
-        with obs.recording(rec, close=False):
-            with profile.profiling(profile.Profiler()):
-                run_table2(bomb_ids=("cp_stack", "sv_time"),
-                           tools=("tritonx",), jobs=2)
+        with session.use(recorder=rec, profiler=profile.Profiler()):
+            run_table2(bomb_ids=("cp_stack", "sv_time"),
+                       tools=("tritonx",), jobs=2)
         rec.close()
         spans = [e for e in sink.events if e["t"] == "span"]
         # One trace id across harness + both workers.
@@ -253,9 +244,8 @@ class TestIntegration:
     def test_profiled_cell_attributes_pcs_and_queries(self):
         prof = profile.Profiler()
         rec = obs.Recorder(sinks=[obs.MemorySink()], hist_values=True)
-        with obs.recording(rec, close=False):
-            with profile.profiling(prof):
-                cell = run_cell(get_bomb("cp_stack"), "tritonx")
+        with session.use(recorder=rec, profiler=prof):
+            cell = run_cell(get_bomb("cp_stack"), "tritonx")
         assert str(cell.outcome) == "ok"
         snap = prof.snapshot()
         # The VM tallied per-PC steps in the trace stage...
@@ -267,16 +257,13 @@ class TestIntegration:
         assert snap["queries"]
         assert all(isinstance(r["pc"], int) for r in snap["queries"])
         assert {r["kind"] for r in snap["queries"]} == {"negation"}
-        # Bookkeeping counters flushed when the profiling block exited.
-        with profile.profiling(prof):
-            pass
-        assert rec.counters["prof.pc_buckets"] > 0
+        # Bookkeeping counters flushed when the session block exited.
+        assert rec.counters["prof.pc_buckets"] == len(prof.pc_buckets) > 0
 
     def test_explorer_tags_queries_with_explore_kind(self):
         prof = profile.Profiler()
-        with obs.recording(obs.Recorder(), close=False):
-            with profile.profiling(prof):
-                run_cell(get_bomb("cp_stack"), "angrx_nolib")
+        with session.use(recorder=obs.Recorder(), profiler=prof):
+            run_cell(get_bomb("cp_stack"), "angrx_nolib")
         kinds = {r["kind"] for r in prof.snapshot()["queries"]}
         assert "explore" in kinds
         explore_pcs = [r for r in prof.snapshot()["pcs"]
@@ -293,9 +280,8 @@ class TestIntegration:
 
     def test_hotspot_report_renders_real_cell(self):
         prof = profile.Profiler()
-        with obs.recording(obs.Recorder(), close=False):
-            with profile.profiling(prof):
-                run_cell(get_bomb("cp_stack"), "tritonx")
+        with session.use(recorder=obs.Recorder(), profiler=prof):
+            run_cell(get_bomb("cp_stack"), "tritonx")
         text = render_hotspots(prof.snapshot(), top=5)
         assert "Hot PCs" in text and "Hot guards" in text
         assert "cp_stack/tritonx" in text

@@ -9,7 +9,7 @@ end-to-end wiring through the taint replayer and the concolic engine.
 
 import pytest
 
-from repro import obs
+from repro import obs, session
 from repro.obs import provenance
 from repro.obs.provenance import CoreMember, ProvenanceCollector
 from repro.errors import SolverError
@@ -59,24 +59,23 @@ class TestCollector:
         assert snap["taint"] == [] and snap["instances"] == 0
 
     def test_collecting_scopes_and_restores(self):
-        outer = ProvenanceCollector()
-        with provenance.collecting(outer) as prov:
-            assert provenance.active() is prov is outer
-            with provenance.collecting() as inner:
+        outer, inner = ProvenanceCollector(), ProvenanceCollector()
+        with session.use(provenance=outer):
+            assert provenance.active() is outer
+            with session.use(provenance=inner):
                 assert provenance.active() is inner
-                assert inner is not outer
             assert provenance.active() is outer
         assert provenance.active() is None
 
     def test_collecting_flushes_prov_counters(self):
         rec = obs.Recorder()
-        with obs.recording(rec):
-            with provenance.collecting() as prov:
-                prov.record_taint(0x10, "add", 0)
-                prov.record_taint(0x10, "add", 1)
-                prov.introduce("argv")
-                prov.drop("taint-lost", "gone")
-                prov.record_core(None, [])
+        prov = ProvenanceCollector()
+        with session.use(recorder=rec, provenance=prov):
+            prov.record_taint(0x10, "add", 0)
+            prov.record_taint(0x10, "add", 1)
+            prov.introduce("argv")
+            prov.drop("taint-lost", "gone")
+            prov.record_core(None, [])
         counters = rec.counters
         assert counters["prov.taint_pcs"] == 1
         assert counters["prov.taint_instances"] == 2
@@ -86,9 +85,8 @@ class TestCollector:
 
     def test_empty_collector_flushes_nothing(self):
         rec = obs.Recorder()
-        with obs.recording(rec):
-            with provenance.collecting():
-                pass
+        with session.use(recorder=rec, provenance=ProvenanceCollector()):
+            pass
         assert not [k for k in rec.counters if k.startswith("prov.")]
 
 
@@ -137,7 +135,8 @@ class TestFigure3Provenance:
         from repro.trace import taint_summary
 
         bomb = get_bomb(variant)
-        with provenance.collecting() as prov:
+        prov = ProvenanceCollector()
+        with session.use(provenance=prov):
             summary = taint_summary(bomb.image, [variant.encode(), b"77"],
                                     bomb.base_env())
         assert summary.provenance is prov
@@ -181,7 +180,8 @@ class TestEngineCores:
         from repro.tools.profiles import TRITONX
 
         image = compile_bc(self.SOURCE)
-        with provenance.collecting() as prov:
+        prov = ProvenanceCollector()
+        with session.use(provenance=prov):
             report = ConcolicEngine(TRITONX).run(image, [b"1"], argv0=b"x")
         return report, prov
 
@@ -208,14 +208,6 @@ class TestEngineCores:
 
 
 class TestPolicyFingerprint:
-    def test_provenance_flag_is_non_semantic(self):
-        import dataclasses
-
-        from repro.tools.profiles import TRITONX
-
-        flipped = dataclasses.replace(TRITONX, provenance=True)
-        assert flipped.fingerprint() == TRITONX.fingerprint()
-
     def test_semantic_fields_still_move_the_fingerprint(self):
         import dataclasses
 
@@ -227,8 +219,8 @@ class TestPolicyFingerprint:
 
 class TestForkedCellIsolation:
     def test_forked_cell_starts_without_the_driver_collector(self, monkeypatch):
-        """A cell forked by ``run_cell(timeout=)`` inside ``collecting()``
-        must not record into (or steer its diagnosis by) the driver's
+        """A cell forked by ``run_cell(timeout=)`` inside a provenance
+        session must not record into (or steer its diagnosis by) the driver's
         collector and the evidence it already holds."""
         from repro.bombs import get_bomb
         from repro.eval import harness
@@ -241,9 +233,47 @@ class TestForkedCellIsolation:
             return cell
 
         monkeypatch.setattr(executor, "run_cell", probe)
-        with provenance.collecting() as prov:
+        prov = ProvenanceCollector()
+        with session.use(provenance=prov):
             prov.introduce("driver-side evidence")
             cell = harness.run_cell(get_bomb("cp_stack"), "tritonx",
                                     timeout=120)
         assert cell.diagnostic == "clean"
         assert [e.detail for e in prov.events] == ["driver-side evidence"]
+
+    def test_forked_cell_gets_a_fresh_session_with_only_its_store(
+            self, monkeypatch, tmp_path):
+        """A cell forked while the driver holds every collector and a
+        store sees none of them: only its own recorder and profiler
+        (the driver records and profiles) and the run's store."""
+        from repro.eval import harness
+        from repro.obs.profile import Profiler
+        from repro.service import executor
+        from repro.service.store import ResultStore
+        from repro.smt.querylog import QueryRecorder
+
+        rec, prof, queries = obs.Recorder(), Profiler(), QueryRecorder()
+        outer = ResultStore(tmp_path / "outer")
+
+        def probe(bomb, tool):
+            cell = harness.run_cell(bomb, tool)
+            sess = session.current()
+            cell.diagnostic = repr((
+                sess.recorder is not None and sess.recorder is not rec,
+                sess.profiler is not None and sess.profiler is not prof,
+                sess.provenance, sess.queries, sess.cell,
+                sess.store is not outer and str(sess.store.root)))
+            return cell
+
+        monkeypatch.setattr(executor, "run_cell", probe)
+        driver_prov = ProvenanceCollector()
+        with session.use(recorder=rec, profiler=prof, provenance=driver_prov,
+                         queries=queries, store=outer):
+            result = harness.run_table2(("cp_stack",), ("tritonx",),
+                                        timeout=120,
+                                        cache=str(tmp_path / "inner"))
+        cell = result.cells[("cp_stack", "tritonx")]
+        assert cell.diagnostic == repr(
+            (True, True, None, None, (None, None), str(tmp_path / "inner")))
+        assert driver_prov.events == [] and queries.queries == 0
+        assert not any(p.is_file() for p in (tmp_path / "outer").rglob("*"))

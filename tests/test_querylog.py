@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from repro import session
 from repro.smt import querylog
 from repro.smt.expr import (
     FP_OPS,
@@ -191,14 +192,14 @@ class TestFeaturesAndClasses:
 class TestQueryRecorder:
     def test_identical_queries_dedup_to_one_record(self):
         rec = QueryRecorder()
-        rec.set_cell("bomb", "tool")
+        cell = ("bomb", "tool")
         x = mk_var("x", 32)
         tagged = [((1, "negation"), mk_eq(x, mk_const(5, 32)))]
         budget = {"max_conflicts": 10}
         d1 = rec.record_check(tagged, [], (1, "negation"), "sat", 0.01,
-                              {"conflicts": 2}, budget=budget)
+                              {"conflicts": 2}, budget=budget, cell=cell)
         d2 = rec.record_check(tagged, [], (1, "negation"), "sat", 0.02,
-                              {"conflicts": 0}, budget=budget)
+                              {"conflicts": 0}, budget=budget, cell=cell)
         assert d1 == d2
         assert rec.queries == 2 and rec.dedup_hits == 1
         assert len(rec.records) == 1
@@ -211,26 +212,31 @@ class TestQueryRecorder:
 
     def test_cell_scoping_restores_previous_context(self):
         rec = QueryRecorder()
-        with querylog.capturing(rec):
-            with querylog.cell("outer_bomb", "outer_tool"):
-                with querylog.cell("inner_bomb", "inner_tool"):
-                    assert rec._bomb == "inner_bomb"
-                assert rec._bomb == "outer_bomb"
+        with session.use(queries=rec):
+            with session.cell("outer_bomb", "outer_tool"):
+                with session.cell("inner_bomb", "inner_tool"):
+                    assert session.current().cell == ("inner_bomb",
+                                                      "inner_tool")
+                assert session.current().cell == ("outer_bomb", "outer_tool")
+                assert querylog.active() is rec
         assert querylog.active() is None
+        assert session.current().cell == (None, None)
 
     def test_module_hook_is_noop_without_recorder(self):
+        from repro.smt.solver import Solver, report_query
+
         assert querylog.active() is None
-        querylog.record_check([], [], None, "sat", 0.0, {})  # must not raise
+        report_query(session.current(), Solver(), [], None, "sat", 0.0,
+                     "oneshot")  # must not raise
 
     def test_persist_skips_empty_cells_and_dedups_records(self, tmp_path):
         from repro.service.store import ResultStore
 
         store = ResultStore(tmp_path / "store")
         rec = QueryRecorder()
-        rec.set_cell("b1", "t1")
         x = mk_var("x", 32)
         tagged = [(None, mk_eq(x, mk_const(5, 32)))]
-        rec.record_check(tagged, [], None, "sat", 0.01, {})
+        rec.record_check(tagged, [], None, "sat", 0.01, {}, cell=("b1", "t1"))
         rec.occurrences[("warm", "cell")] = []  # cache-served: no queries
         out = rec.persist(store)
         assert out == {"stored": 1, "skipped": 0, "cells": 1}
@@ -246,12 +252,11 @@ class TestSolverIntegration:
         from repro.smt.solver import Solver
 
         rec = QueryRecorder()
-        with querylog.capturing(rec):
-            with querylog.cell("b", "t"):
-                solver = Solver(max_conflicts=777)
-                x = mk_var("x", 8)
-                solver.add(mk_eq(x, mk_const(3, 8)), tag=(0x10, "negation"))
-                result = solver.check()
+        with session.use(queries=rec, cell=("b", "t")):
+            solver = Solver(max_conflicts=777)
+            x = mk_var("x", 8)
+            solver.add(mk_eq(x, mk_const(3, 8)), tag=(0x10, "negation"))
+            result = solver.check()
         assert result.status == "sat"
         assert rec.queries == 1
         (digest, body), = rec.records.items()
@@ -268,7 +273,7 @@ class TestSolverIntegration:
 
         rec = QueryRecorder()
         x = mk_var("x", 8)
-        with querylog.capturing(rec):
+        with session.use(queries=rec):
             solver = IncrementalSolver()
             solver.assert_expr(mk_cmp("ult", x, mk_const(10, 8)))
             solver.check([mk_eq(x, mk_const(3, 8))])
@@ -284,7 +289,7 @@ class TestSolverIntegration:
         from repro.smt.solver import Solver
 
         rec = QueryRecorder()
-        with querylog.capturing(rec):
+        with session.use(queries=rec):
             solver = Solver()
             x = mk_var("x", 8)
             solver.add(mk_cmp("ult", x, mk_const(5, 8)))
@@ -300,38 +305,12 @@ class TestSolverIntegration:
 
 
 class TestPolicyFingerprints:
-    def test_tool_policy_fingerprint_ignores_query_log(self):
-        from repro.tools.profiles import TRACE_PROFILES
-
-        policy = TRACE_PROFILES["tritonx"]
-        base = policy.fingerprint()
-        import dataclasses
-
-        flipped = dataclasses.replace(policy, query_log=True)
-        assert flipped.fingerprint() == base
-
-    def test_symex_policy_fingerprint_ignores_query_log(self):
-        from repro.tools.profiles import SYMEX_PROFILES
-        import dataclasses
-
-        policy = SYMEX_PROFILES["angrx"]
-        flipped = dataclasses.replace(policy, query_log=True)
-        assert flipped.fingerprint() == policy.fingerprint()
-
-    def test_hybrid_policy_fingerprint_ignores_nested_query_log(self):
-        from repro.tools.profiles import HYBRID_PROFILES
-        import dataclasses
-
-        policy = HYBRID_PROFILES["hybridx"]
-        flipped = dataclasses.replace(
-            policy,
-            concolic=dataclasses.replace(policy.concolic, query_log=True))
-        assert flipped.fingerprint() == policy.fingerprint()
-
     def test_capability_fingerprint_stable_under_flag(self):
         # The cache-key digest must not move when logging toggles —
         # otherwise turning the recorder on would invalidate every
         # cached cell result.
         from repro.tools.api import capability_fingerprint
 
-        assert capability_fingerprint("tritonx")  # smoke: resolvable
+        base = capability_fingerprint("tritonx")
+        with session.use(queries=QueryRecorder()):
+            assert capability_fingerprint("tritonx") == base

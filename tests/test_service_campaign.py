@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro import obs, store_slot
+from repro import obs, session
 from repro.bombs import get_bomb
 from repro.eval import render_table2, run_table2
 from repro.service import (
@@ -200,16 +200,16 @@ class TestStoreAttachment:
         run_table2(("sv_time",), ("angrx_nolib", "hybridx"))
         assert sorted(p for p in store_root.rglob("*")
                       if p.is_file()) == before
-        assert store_slot.current() is None
+        assert session.current().store is None
 
     def test_attachment_is_restored_when_a_cached_run_raises(self, tmp_path):
         outer = ResultStore(tmp_path / "outer")
-        with store_slot.attach(outer):
+        with session.use(store=outer):
             with pytest.raises(KeyError):
                 run_table2(("cp_stack",), ("no_such_tool",),
                            cache=str(tmp_path / "inner"))
-            assert store_slot.current() is outer
-        assert store_slot.current() is None
+            assert session.current().store is outer
+        assert session.current().store is None
 
 
 class TestServiceRoutedTable2:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.smt import (
+    IncrementalSolver,
     Solver,
     eval_expr,
     mk_binop,
@@ -56,6 +57,34 @@ class TestSolverFacade:
         solver.add(mk_eq(node, mk_const(1, 64)))
         with pytest.raises(SolverError, match="too large"):
             solver.check()
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_both_solvers_stage_with_the_same_errors(self, incremental,
+                                                     monkeypatch):
+        from repro.smt.bitblast import BitBlaster
+
+        x = mk_var("sf_st", 64)
+        node = x
+        for i in range(200):
+            node = mk_binop("mul", node, mk_var(f"sf_st{i}", 64))
+
+        def query(expr, **budget):
+            if incremental:
+                return IncrementalSolver(**budget).check([expr])
+            solver = Solver(**budget)
+            solver.add(expr)
+            return solver.check()
+
+        with pytest.raises(SolverError, match=r"^constraint model too large "
+                           r"\(\d+ nodes > 50\)$"):
+            query(mk_eq(node, mk_const(1, 64)), max_nodes=50)
+
+        def too_deep(self, expr):
+            raise RecursionError
+
+        monkeypatch.setattr(BitBlaster, "blast", too_deep)
+        with pytest.raises(SolverError, match="^formula too deep to encode$"):
+            query(mk_eq(x, mk_const(1, 64)))
 
     def test_clone_is_independent(self):
         solver = Solver()

@@ -4,7 +4,7 @@ engine outcomes (cold vs warm)."""
 
 import pytest
 
-from repro import obs, store_slot
+from repro import obs, session
 from repro.bombs import get_bomb
 from repro.ir import il, superblock
 from repro.ir.superblock import LiftCache, decode_stmt, encode_stmt
@@ -150,7 +150,7 @@ class TestStorePersistence:
 
         store = ResultStore(tmp_path)
         image = _image()
-        with store_slot.attach(store):
+        with session.use(store=store):
             cache = superblock.cache_for(image)
             stmts, _ = cache.lift_for(_instr(Op.ADD, image.entry))
             assert superblock.persist(cache)
@@ -158,7 +158,7 @@ class TestStorePersistence:
 
         # A "new process": fresh registry, same store.
         superblock.reset()
-        with store_slot.attach(store):
+        with session.use(store=store):
             warm = superblock.cache_for(image)
         assert warm.loaded == 1
         restored, fresh = warm.lift_for(_instr(Op.ADD, image.entry))
@@ -175,11 +175,11 @@ class TestStorePersistence:
         digest = superblock.image_digest(bomb.image)
         store_a = ResultStore(tmp_path / "a")
         store_b = ResultStore(tmp_path / "b")
-        with store_slot.attach(store_a):
+        with session.use(store=store_a):
             run_cell(bomb, "tritonx")
         assert store_a.get_lift(digest) is not None
         assert not superblock.cache_for(bomb.image).dirty
-        with store_slot.attach(store_b):
+        with session.use(store=store_b):
             run_cell(bomb, "tritonx")
         assert store_b.get_lift(digest) == store_a.get_lift(digest)
 
